@@ -6,13 +6,15 @@
 //! synthesize-then-flip.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dscts_bench::{c2_sizing_workload, fig12_thresholds, forced_refine_config, sizing_workload};
+use dscts_bench::{
+    c2_sizing_workload, fig12_thresholds, forced_refine_config, run_schedule, sizing_workload,
+};
 use dscts_core::baseline::{flip_backside, FlipMethod, HTreeCts};
 use dscts_core::dse;
 use dscts_core::mcmm::MultiCornerEval;
-use dscts_core::opt::{AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager};
-use dscts_core::sizing::{resize_for_skew, SizingConfig, SizingPass};
-use dscts_core::skew::{refine, EndpointRefinePass};
+use dscts_core::opt::{AnnealConfig, AnnealedSizingPass, OptSchedule};
+use dscts_core::sizing::{SizingConfig, SizingPass};
+use dscts_core::skew::EndpointRefinePass;
 use dscts_core::{DsCts, EvalModel};
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
@@ -63,49 +65,60 @@ fn bench_flows(c: &mut Criterion) {
 }
 
 /// Post-CTS optimization micro-benches on the shared C2-sized workload
-/// (14 338 sinks): the loops rewired onto the incremental evaluator. Each
-/// iteration starts from a fresh clone of the routed + DP-assigned tree,
-/// so the numbers isolate the optimization passes themselves.
+/// (14 338 sinks): the greedy sizing and forced refinement passes over
+/// the single nominal corner. Each iteration starts from a fresh clone of
+/// the routed + DP-assigned tree, so the numbers isolate the
+/// optimization passes themselves.
 fn bench_opt_passes(c: &mut Criterion) {
     let (tree, tech) = c2_sizing_workload();
+    let nominal = CornerSet::nominal_only(&tech);
+    let sizing = OptSchedule::new().with(SizingPass::new(SizingConfig::default()));
+    let refine = OptSchedule::new().with(EndpointRefinePass::new(forced_refine_config()));
 
     let mut group = c.benchmark_group("opt_passes");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("resize_for_skew", "C2"), &tree, |b, t| {
+    group.bench_with_input(BenchmarkId::new("sizing", "C2"), &tree, |b, t| {
         b.iter(|| {
             let mut t = t.clone();
-            let rep = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
+            let rep = run_schedule(&sizing, &mut t, &nominal, EvalModel::Elmore);
             black_box(rep.after.skew_ps)
         });
     });
     group.bench_with_input(BenchmarkId::new("refine", "C2"), &tree, |b, t| {
         b.iter(|| {
             let mut t = t.clone();
-            let rep = refine(&mut t, &tech, EvalModel::Elmore, &forced_refine_config());
+            let rep = run_schedule(&refine, &mut t, &nominal, EvalModel::Elmore);
             black_box(rep.after.skew_ps)
         });
     });
     group.finish();
 }
 
-/// The pass-manager layer itself on the same C2-sized workload: the
-/// legacy free-function chain versus the identical schedule through the
-/// `PassManager` (same arithmetic, one shared evaluator instead of two —
-/// the manager should be at least as fast), plus the annealed sizing
-/// pass at a bench-sized move budget.
+/// The pass-manager layer itself on the same C2-sized workload: sizing
+/// then refinement as two one-pass schedules (two evaluators built)
+/// versus one two-pass schedule (one shared evaluator — same arithmetic,
+/// so it should be at least as fast), plus the annealed sizing pass at a
+/// bench-sized move budget over one corner (C2, C1) and over the ASAP7
+/// SS/TT/FF set (C1: C2's DP tree overloads a buffer at SS).
 fn bench_opt_schedule(c: &mut Criterion) {
     let (tree, tech) = c2_sizing_workload();
+    let nominal = CornerSet::nominal_only(&tech);
+    let (c1_tree, c1_tech) = sizing_workload(&BenchmarkSpec::c1_jpeg());
+    let c1_nominal = CornerSet::nominal_only(&c1_tech);
+    let c1_pvt = CornerSet::asap7_pvt(&c1_tech);
+    let sizing = OptSchedule::new().with(SizingPass::new(SizingConfig::default()));
+    let refine = OptSchedule::new().with(EndpointRefinePass::new(forced_refine_config()));
 
     let mut group = c.benchmark_group("opt_schedule");
     group.sample_size(10);
     group.bench_with_input(
-        BenchmarkId::new("legacy_sizing_then_refine", "C2"),
+        BenchmarkId::new("two_schedules_sizing_then_refine", "C2"),
         &tree,
         |b, t| {
             b.iter(|| {
                 let mut t = t.clone();
-                let _ = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-                let rep = refine(&mut t, &tech, EvalModel::Elmore, &forced_refine_config());
+                let _ = run_schedule(&sizing, &mut t, &nominal, EvalModel::Elmore);
+                let rep = run_schedule(&refine, &mut t, &nominal, EvalModel::Elmore);
                 black_box(rep.after.skew_ps)
             });
         },
@@ -119,31 +132,37 @@ fn bench_opt_schedule(c: &mut Criterion) {
                 .with(EndpointRefinePass::new(forced_refine_config()));
             b.iter(|| {
                 let mut t = t.clone();
-                let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+                let rep = run_schedule(&schedule, &mut t, &nominal, EvalModel::Elmore);
                 black_box(rep.after.skew_ps)
             });
         },
     );
-    group.bench_with_input(
-        BenchmarkId::new("annealed_sizing_1k_moves", "C2"),
-        &tree,
-        |b, t| {
-            let schedule = OptSchedule::new()
-                .seed(7)
-                .with(AnnealedSizingPass::new(AnnealConfig {
-                    moves: 1_000,
-                    ..AnnealConfig::default()
-                }));
-            b.iter(|| {
-                let mut t = t.clone();
-                let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
-                black_box(rep.after.skew_ps)
-            });
-        },
-    );
+    let anneal = OptSchedule::new()
+        .seed(7)
+        .with(AnnealedSizingPass::new(AnnealConfig {
+            moves: 1_000,
+            ..AnnealConfig::default()
+        }));
+    let arms = [
+        ("C2", &tree, &nominal),
+        ("C1", &c1_tree, &c1_nominal),
+        ("C1x3", &c1_tree, &c1_pvt),
+    ];
+    for (id, tree, corners) in arms {
+        group.bench_with_input(
+            BenchmarkId::new("annealed_sizing_1k_moves", id),
+            tree,
+            |b, t| {
+                b.iter(|| {
+                    let mut t = t.clone();
+                    let rep = run_schedule(&anneal, &mut t, corners, EvalModel::Elmore);
+                    black_box(rep.after.skew_ps)
+                });
+            },
+        );
+    }
     group.finish();
 }
-
 /// DSE threshold sweeps, naive (one full pipeline per threshold) versus
 /// the batched [`dse::SweepEngine`] (route once, one DP per
 /// mode-equivalence class). C4 over a coarsened Fig. 12 grid keeps the
@@ -199,7 +218,8 @@ fn bench_mcmm_eval(c: &mut Criterion) {
         &tree,
         |b, t| {
             let mut t = t.clone();
-            let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+            let mut mc =
+                MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
             let mut flip = false;
             b.iter(|| {
                 flip = !flip;
@@ -220,8 +240,9 @@ fn bench_mcmm_eval(c: &mut Criterion) {
         &tree,
         |b, t| {
             let mut t = t.clone();
-            let mut mc =
-                MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).with_parallel(Some(true));
+            let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore)
+                .expect("feasible")
+                .with_parallel(Some(true));
             let mut flip = false;
             b.iter(|| {
                 flip = !flip;

@@ -66,10 +66,10 @@
 //!
 //! Run with `cargo run --release -p dscts-bench --bin baseline [-- FLAGS]`.
 
-use dscts_bench::{all_designs, fig12_thresholds, sizing_workload, DESIGN_IDS};
-use dscts_core::mcmm::{CornerReport, RobustObjective};
-use dscts_core::opt::{AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager};
-use dscts_core::sizing::{resize_for_skew, SizingConfig};
+use dscts_bench::{all_designs, fig12_thresholds, run_schedule, sizing_workload, DESIGN_IDS};
+use dscts_core::mcmm::CornerReport;
+use dscts_core::opt::{AnnealConfig, AnnealedSizingPass, OptSchedule};
+use dscts_core::sizing::{SizingConfig, SizingPass};
 use dscts_core::skew::SkewConfig;
 use dscts_core::{dse, run_dp, DpConfig, DsCts, EvalModel, Outcome, RunBudget, TreeMetrics};
 use dscts_netlist::{BenchmarkSpec, Design};
@@ -343,14 +343,11 @@ fn run_sizing_pair() -> Vec<SizingRecord> {
             });
         };
 
+        let nominal = CornerSet::nominal_only(&tech);
         let mut greedy = tree.clone();
+        let greedy_schedule = OptSchedule::new().with(SizingPass::new(SizingConfig::default()));
         let t0 = Instant::now();
-        let rep = resize_for_skew(
-            &mut greedy,
-            &tech,
-            EvalModel::Elmore,
-            &SizingConfig::default(),
-        );
+        let rep = run_schedule(&greedy_schedule, &mut greedy, &nominal, EvalModel::Elmore);
         record(
             "greedy",
             t0.elapsed().as_secs_f64(),
@@ -363,7 +360,7 @@ fn run_sizing_pair() -> Vec<SizingRecord> {
             .seed(7)
             .with(AnnealedSizingPass::default());
         let t0 = Instant::now();
-        let rep = PassManager::new(&schedule).run(&mut annealed, &tech, EvalModel::Elmore);
+        let rep = run_schedule(&schedule, &mut annealed, &nominal, EvalModel::Elmore);
         record(
             "annealed",
             t0.elapsed().as_secs_f64(),
@@ -475,7 +472,7 @@ fn run_mcmm_pair() -> Vec<McmmRecord> {
         let schedule = OptSchedule::default_post_cts(SkewConfig::default())
             .with(AnnealedSizingPass::default())
             .seed(7);
-        let manager = PassManager::new(&schedule);
+        let nominal_set = CornerSet::nominal_only(&tech);
         let mut record = |name: &str, runtime_s: f64, report: CornerReport| {
             let r = &report.robust;
             let m = &report.per_corner[0];
@@ -497,7 +494,7 @@ fn run_mcmm_pair() -> Vec<McmmRecord> {
 
         let mut nominal = tree.clone();
         let t0 = Instant::now();
-        let _ = manager.run(&mut nominal, &tech, EvalModel::Elmore);
+        let _ = run_schedule(&schedule, &mut nominal, &nominal_set, EvalModel::Elmore);
         let dt = t0.elapsed().as_secs_f64();
         record(
             "nominal",
@@ -507,12 +504,7 @@ fn run_mcmm_pair() -> Vec<McmmRecord> {
 
         let mut robust = tree.clone();
         let t0 = Instant::now();
-        let _ = manager.run_corners(
-            &mut robust,
-            &corners,
-            EvalModel::Elmore,
-            RobustObjective::WorstCorner,
-        );
+        let _ = run_schedule(&schedule, &mut robust, &corners, EvalModel::Elmore);
         let dt = t0.elapsed().as_secs_f64();
         record(
             "robust",

@@ -1,21 +1,44 @@
 //! Micro-benchmark of the post-CTS optimization passes.
 //!
-//! Times `sizing::resize_for_skew`, `skew::refine` and the annealed
-//! sizing pass in isolation on the shared C2-sized workload (14 338
-//! sinks, see [`dscts_bench::c2_sizing_workload`]), printing wall-clock
-//! per pass. The routed + DP-assigned tree is built once; each timed pass
-//! starts from a fresh clone, so the numbers isolate the optimization
-//! loops themselves — the workloads the incremental evaluator
+//! Times the greedy sizing pass, the forced end-point refinement pass and
+//! the annealed sizing pass in isolation on the shared C2-sized workload
+//! (14 338 sinks, see [`dscts_bench::c2_sizing_workload`]), printing
+//! wall-clock per pass. The routed + DP-assigned tree is built once; each
+//! timed pass starts from a fresh clone, so the numbers isolate the
+//! optimization loops themselves — the workloads the resident evaluator
 //! accelerates.
+//!
+//! The annealed pass additionally runs on the C1 workload twice per delay
+//! model: over the single nominal corner (K = 1) and fanned out over the
+//! ASAP7 SS/TT/FF set (K = 3, worst-corner objective). (C2's DP tree
+//! overloads a buffer at the SS corner, so the corner pair uses C1.)
+//! Both arms go through the one evaluator, so a per-move dispatch or
+//! bookkeeping cost shows up in the K = 1 arms.
 //!
 //! Run with `cargo run --release -p dscts-bench --bin opt_micro`.
 
-use dscts_bench::{c2_sizing_workload, forced_refine_config};
-use dscts_core::opt::{AnnealedSizingPass, OptSchedule, PassManager};
-use dscts_core::sizing::{resize_for_skew, SizingConfig};
-use dscts_core::skew::refine;
-use dscts_core::EvalModel;
+use dscts_bench::{c2_sizing_workload, forced_refine_config, run_schedule, sizing_workload};
+use dscts_core::opt::{AnnealedSizingPass, OptSchedule, ScheduleReport};
+use dscts_core::sizing::{SizingConfig, SizingPass};
+use dscts_core::{EndpointRefinePass, EvalModel, SynthesizedTree};
+use dscts_netlist::BenchmarkSpec;
+use dscts_tech::CornerSet;
 use std::time::Instant;
+
+/// Runs `schedule` on a fresh clone of `tree`, returning wall-clock
+/// milliseconds (building the corner states included, as in the
+/// pipeline) and the report.
+fn timed(
+    schedule: &OptSchedule,
+    tree: &SynthesizedTree,
+    corners: &CornerSet,
+    model: EvalModel,
+) -> (f64, ScheduleReport) {
+    let mut t = tree.clone();
+    let t0 = Instant::now();
+    let rep = run_schedule(schedule, &mut t, corners, model);
+    (t0.elapsed().as_secs_f64() * 1e3, rep)
+}
 
 fn main() {
     let t0 = Instant::now();
@@ -26,45 +49,45 @@ fn main() {
         tree.topo.nodes.len(),
         t0.elapsed().as_secs_f64() * 1e3
     );
+    let nominal = CornerSet::nominal_only(&tech);
+    let (c1_tree, c1_tech) = sizing_workload(&BenchmarkSpec::c1_jpeg());
+    let c1_nominal = CornerSet::nominal_only(&c1_tech);
+    let c1_pvt = CornerSet::asap7_pvt(&c1_tech);
 
     for model in [EvalModel::Elmore, EvalModel::Nldm] {
-        let mut t = tree.clone();
-        let t0 = Instant::now();
-        let rep = resize_for_skew(&mut t, &tech, model, &SizingConfig::default());
+        let sizing = OptSchedule::new().with(SizingPass::new(SizingConfig::default()));
+        let (ms, rep) = timed(&sizing, &tree, &nominal, model);
         println!(
-            "resize_for_skew [{model:?}]: {:.1} ms ({} resized, skew {:.3} -> {:.3} ps)",
-            t0.elapsed().as_secs_f64() * 1e3,
-            rep.resized,
-            rep.before.skew_ps,
-            rep.after.skew_ps
+            "sizing [{model:?}]: {ms:.1} ms ({} resized, skew {:.3} -> {:.3} ps)",
+            rep.passes[0].accepted, rep.before.skew_ps, rep.after.skew_ps
         );
 
-        let mut t = tree.clone();
-        let t0 = Instant::now();
-        let rep = refine(&mut t, &tech, model, &forced_refine_config());
+        let refine = OptSchedule::new().with(EndpointRefinePass::new(forced_refine_config()));
+        let (ms, rep) = timed(&refine, &tree, &nominal, model);
         println!(
-            "refine [{model:?}]: {:.1} ms ({} buffers added, skew {:.3} -> {:.3} ps)",
-            t0.elapsed().as_secs_f64() * 1e3,
-            rep.buffers_added,
-            rep.before.skew_ps,
-            rep.after.skew_ps
+            "refine [{model:?}]: {ms:.1} ms ({} buffers added, skew {:.3} -> {:.3} ps)",
+            rep.passes[0].accepted, rep.before.skew_ps, rep.after.skew_ps
         );
 
-        let mut t = tree.clone();
-        let schedule = OptSchedule::new()
+        let anneal = OptSchedule::new()
             .seed(7)
             .with(AnnealedSizingPass::default());
-        let t0 = Instant::now();
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, model);
-        println!(
-            "annealed-sizing [{model:?}]: {:.1} ms ({}/{} moves accepted, skew {:.3} -> {:.3} ps, latency {:.3} -> {:.3} ps)",
-            t0.elapsed().as_secs_f64() * 1e3,
-            rep.passes[0].accepted,
-            rep.passes[0].attempted,
-            rep.before.skew_ps,
-            rep.after.skew_ps,
-            rep.before.latency_ps,
-            rep.after.latency_ps
-        );
+        let arms = [
+            ("C2 K=1", &tree, &nominal),
+            ("C1 K=1", &c1_tree, &c1_nominal),
+            ("C1 K=3", &c1_tree, &c1_pvt),
+        ];
+        for (arm, tree, corners) in arms {
+            let (ms, rep) = timed(&anneal, tree, corners, model);
+            println!(
+                "annealed-sizing {arm} [{model:?}]: {ms:.1} ms ({}/{} moves accepted, skew {:.3} -> {:.3} ps, latency {:.3} -> {:.3} ps)",
+                rep.passes[0].accepted,
+                rep.passes[0].attempted,
+                rep.before.skew_ps,
+                rep.after.skew_ps,
+                rep.before.latency_ps,
+                rep.after.latency_ps
+            );
+        }
     }
 }

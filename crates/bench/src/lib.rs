@@ -36,10 +36,13 @@
 //! CI runs the quick subset (100k sinks) and diffs runtimes against the
 //! committed snapshot via `baseline --check BENCH_pr6.json`.
 
+use dscts_core::opt::{OptSchedule, PassManager, ScheduleReport};
 use dscts_core::skew::SkewConfig;
-use dscts_core::{run_dp, DpConfig, HierarchicalRouter, MoesWeights, SynthesizedTree};
+use dscts_core::{
+    run_dp, DpConfig, EvalModel, HierarchicalRouter, MoesWeights, RobustObjective, SynthesizedTree,
+};
 use dscts_netlist::{BenchmarkSpec, Design};
-use dscts_tech::Technology;
+use dscts_tech::{CornerSet, Technology};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -108,6 +111,26 @@ pub fn forced_refine_config() -> SkewConfig {
         max_rounds: 8,
         ..SkewConfig::default()
     }
+}
+
+/// Runs `schedule` over `tree` on `corners` (objective
+/// [`RobustObjective::WorstCorner`], no budget) — every optimization
+/// bench arm, single-corner ([`CornerSet::nominal_only`]) or robust.
+///
+/// # Panics
+///
+/// Panics if the tree is electrically infeasible under a corner; the
+/// bench workloads are DP trees, feasible at nominal and at the ASAP7
+/// PVT corners.
+pub fn run_schedule(
+    schedule: &OptSchedule,
+    tree: &mut SynthesizedTree,
+    corners: &CornerSet,
+    model: EvalModel,
+) -> ScheduleReport {
+    PassManager::new(schedule)
+        .run(tree, corners, model, RobustObjective::WorstCorner, None)
+        .unwrap_or_else(|e| panic!("bench workload infeasible: {e}"))
 }
 
 /// Returns (creating if needed) the `results/` output directory.

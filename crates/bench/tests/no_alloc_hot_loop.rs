@@ -1,9 +1,10 @@
 //! The sizing micro-bench hot loop must not touch the heap per move.
 //!
-//! The incremental evaluators own grow-only scratch (journal vectors, the
+//! The resident evaluator owns grow-only scratch (the journal vector, the
 //! arrival DFS stack, per-corner repair buffers), so after a short
 //! warm-up a steady-state mutate → commit cycle should run entirely out
-//! of retained capacity. A counting global allocator makes that a hard
+//! of retained capacity — at one corner and at the three-corner ASAP7
+//! PVT set on the serial fan-out path. A counting global allocator makes that a hard
 //! assertion instead of a profiler anecdote.
 //!
 //! This file holds exactly one `#[test]`: the counter is process-global,
@@ -11,14 +12,14 @@
 //! to the measured window.
 //!
 //! The test also pins the telemetry layer's no-collector contract: a
-//! collector is installed and uninstalled *before* the evaluators are
+//! collector is installed and uninstalled *before* the evaluator is
 //! built, so every pre-resolved metric handle lands on its `None`
 //! branch and the measured windows prove the disabled instrumentation
 //! costs zero allocations per move.
 
 use dscts_bench::sizing_workload;
 use dscts_core::mcmm::MultiCornerEval;
-use dscts_core::{EvalModel, IncrementalEval};
+use dscts_core::EvalModel;
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::CornerSet;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,54 +73,34 @@ fn steady_state_sizing_moves_do_not_allocate() {
         .find(|&i| tree.patterns[i].is_some_and(|p| p.buffers() > 0))
         .expect("latency-greedy workload has buffered edges");
 
-    // Single-evaluator loop: the `opt_passes` / sizing micro-bench path.
-    let mut t = tree.clone();
-    let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
-    let mut flip = false;
-    let toggle = |inc: &mut IncrementalEval, flip: &mut bool| {
-        *flip = !*flip;
-        assert!(inc.set_buffer_scale(edge, if *flip { 2.0 } else { 1.0 }));
-        inc.commit();
-        std::hint::black_box(inc.latency_skew_ps());
-    };
-    for _ in 0..WARMUP_MOVES {
-        toggle(&mut inc, &mut flip);
+    // K = 1 is the `opt_passes` / sizing micro-bench path; K = 3 on the
+    // serial fan-out is the `mcmm_eval` criterion loop. (The parallel
+    // path spawns scoped threads, which allocate by design; it is gated
+    // to huge trees.)
+    for corners in [CornerSet::nominal_only(&tech), CornerSet::asap7_pvt(&tech)] {
+        let k = corners.len();
+        let mut t = tree.clone();
+        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore)
+            .expect("feasible in every corner")
+            .with_parallel(Some(false));
+        let mut flip = false;
+        let toggle = |mc: &mut MultiCornerEval, flip: &mut bool| {
+            *flip = !*flip;
+            assert!(mc.set_buffer_scale(edge, if *flip { 2.0 } else { 1.0 }));
+            mc.commit();
+            std::hint::black_box(mc.latency_skew_ps());
+        };
+        for _ in 0..WARMUP_MOVES {
+            toggle(&mut mc, &mut flip);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..MEASURED_MOVES {
+            toggle(&mut mc, &mut flip);
+        }
+        let grew = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            grew, 0,
+            "K={k} evaluator hot loop allocated {grew} times over {MEASURED_MOVES} moves"
+        );
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_MOVES {
-        toggle(&mut inc, &mut flip);
-    }
-    let grew = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        grew, 0,
-        "IncrementalEval hot loop allocated {grew} times over {MEASURED_MOVES} moves"
-    );
-    drop(inc);
-
-    // Multi-corner fan-out on the serial path: the `mcmm_eval`
-    // criterion loop. (The parallel path spawns scoped threads, which
-    // allocate by design; it is gated to huge trees.)
-    let corners = CornerSet::nominal_only(&tech);
-    let mut t = tree.clone();
-    let mut mc =
-        MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).with_parallel(Some(false));
-    let mut flip = false;
-    let toggle = |mc: &mut MultiCornerEval, flip: &mut bool| {
-        *flip = !*flip;
-        assert!(mc.set_buffer_scale(edge, if *flip { 2.0 } else { 1.0 }));
-        mc.commit();
-        std::hint::black_box(mc.worst_latency_skew_ps());
-    };
-    for _ in 0..WARMUP_MOVES {
-        toggle(&mut mc, &mut flip);
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_MOVES {
-        toggle(&mut mc, &mut flip);
-    }
-    let grew = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        grew, 0,
-        "MultiCornerEval hot loop allocated {grew} times over {MEASURED_MOVES} moves"
-    );
 }

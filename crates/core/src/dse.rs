@@ -33,7 +33,7 @@
 //! schedule ([`DsCts::optimize_tree`] — by default the §III-D skew
 //! refinement pass, or any custom [`crate::opt::OptSchedule`] set on the
 //! base pipeline; every pass runs on the incremental dirty-path
-//! evaluator, [`crate::IncrementalEval`]) before its metrics are read,
+//! evaluator, [`crate::MultiCornerEval`]) before its metrics are read,
 //! exactly as in a full [`DsCts::run`].
 //! Parallelism is per-class rather than per-threshold; results come back
 //! in requested-threshold order at any thread count, and every point is
@@ -601,10 +601,15 @@ impl<'a> SweepEngine<'a> {
             // schedule too: a deadline expiring mid-class truncates that
             // class's optimization (a degraded-but-valid point) rather
             // than overshooting.
-            self.base.optimize_tree_cancel(&mut tree, cancel);
-            let robust = self.base.corner_set().map(|corners| {
-                CornerReport::evaluate(&tree, corners, self.base.delay_model()).robust
-            });
+            self.base.optimize_tree_cancel(&mut tree, cancel)?;
+            let robust = self
+                .base
+                .corner_set()
+                .map(|corners| {
+                    CornerReport::try_evaluate(&tree, corners, self.base.delay_model())
+                        .map(|r| r.robust)
+                })
+                .transpose()?;
             Ok(((self.base.evaluate_tree(&tree), robust, intra), cache))
         };
 

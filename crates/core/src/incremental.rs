@@ -24,37 +24,22 @@
 //!   property suite `incremental_matches_batch` enforces this for both
 //!   [`EvalModel`]s under arbitrary interleaved mutations and undos.
 //! * **journaled undo.** Every overwritten value is recorded in an undo
-//!   journal. [`IncrementalEval::undo`] reverts the last mutation,
-//!   [`IncrementalEval::mark`]/[`IncrementalEval::undo_to`] revert a group
-//!   of mutations (e.g. one refinement round), and
-//!   [`IncrementalEval::commit`] forgets history once a move is accepted.
-//!   A mutation that would make any pattern electrically infeasible
-//!   rolls itself back and returns `false`, leaving the state untouched —
-//!   trial moves need no feasibility pre-probe.
+//!   journal, so a rejected trial move, a group of moves (one refinement
+//!   round) or an infeasible mutation is reverted exactly.
 //!
-//! The evaluator borrows the tree mutably and writes accepted knob changes
-//! (`buffer_scales`, `star_buffers`, `patterns`) through to it, so when the
-//! evaluator is dropped the tree is already in its optimized state.
+//! # Architecture: one evaluator, K corner states
 //!
-//! # Architecture: `CornerState` and the MCMM fan-out
-//!
-//! All per-technology evaluation state (caps, arrivals, slews, star
-//! bases, sink arrivals) and the dirty-path repair logic live in the
-//! crate-internal `CornerState`, parameterized by the tree, a technology
-//! and a journal sink. [`IncrementalEval`] is one `CornerState` plus the
-//! knob-owning tree borrow and a flat journal; the multi-corner engine
-//! ([`crate::mcmm::MultiCornerEval`]) is K `CornerState`s — one per PVT
-//! corner — fanning every knob mutation out under a single shared,
-//! corner-tagged journal. Both run the *same* repair arithmetic, so the
-//! single-nominal-corner MCMM path is bit-identical to this evaluator
-//! (enforced by `mcmm_proptests`).
-//!
-//! The [`TrialEval`] trait abstracts the mutation/undo/query surface the
-//! optimization passes ([`crate::opt`]) need, so every pass runs
-//! unchanged over either evaluator.
+//! The resident evaluator is [`crate::mcmm::MultiCornerEval`]. It owns the
+//! tree borrow (and writes accepted knobs through to it) plus K
+//! crate-internal `CornerState`s — one per PVT corner of a
+//! [`dscts_tech::CornerSet`]; single-technology callers run it over
+//! [`dscts_tech::CornerSet::nominal_only`], K = 1. This module holds the
+//! per-corner half: the state (caps, arrivals, slews, star bases, sink
+//! arrivals) and the dirty-path repairs, which record into one concrete
+//! corner-tagged journal type, so a trial move pays no dynamic dispatch.
 
+use crate::error::CtsError;
 use crate::pattern::{Pattern, PatternEval};
-use crate::resilience::fault;
 use crate::synth::{resources, star_loads, EvalModel, SynthesizedTree, TreeMetrics};
 use dscts_geom::TreeCsr;
 use dscts_tech::{Side, Technology};
@@ -83,31 +68,37 @@ pub(crate) enum Entry {
     SinkArr(u32, f64),
 }
 
-/// Where a [`CornerState`] records overwritten values. The single-corner
-/// evaluator journals into a flat `Vec<Entry>`; the MCMM engine tags each
-/// entry with its corner index so one shared journal serves every corner.
-pub(crate) trait Journal {
-    /// Records one overwritten value.
-    fn record(&mut self, e: Entry);
+/// The undo journal: overwritten values tagged with the corner whose
+/// state they belong to (or the evaluator's knob tag).
+pub(crate) type Journal = Vec<(u32, Entry)>;
+
+/// Where a [`CornerState`] records overwritten values: a [`Journal`]
+/// plus the tag of the corner being repaired.
+/// The evaluator's serial fan-out points every corner at its shared
+/// journal; the parallel fan-out gives each corner its own scratch
+/// vector and appends them in corner order afterwards.
+pub(crate) struct TaggedJournal<'j> {
+    pub(crate) corner: u32,
+    pub(crate) entries: &'j mut Journal,
 }
 
-impl Journal for Vec<Entry> {
+impl TaggedJournal<'_> {
+    /// Records one overwritten value under this journal's corner tag.
+    #[inline]
     fn record(&mut self, e: Entry) {
-        self.push(e);
+        self.entries.push((self.corner, e));
     }
 }
 
 /// The resident evaluation state of one tree under one technology: the
 /// per-topology constants plus every quantity the dirty-path repairs
-/// maintain. Owns no tree borrow — [`IncrementalEval`] holds exactly one
-/// of these, [`crate::mcmm::MultiCornerEval`] holds one per corner over
-/// the same tree.
+/// maintain. Owns no tree borrow — [`crate::mcmm::MultiCornerEval`]
+/// holds one per corner over the same tree.
 ///
 /// Repair methods never roll themselves back: on infeasibility they
 /// return `false`/`None` with their journal entries in place, and the
 /// owning evaluator reverts through its journal (which also restores the
-/// knob, and — in the MCMM case — every corner touched before the
-/// failing one).
+/// knob and every corner touched before the failing one).
 #[derive(Debug, Clone)]
 pub(crate) struct CornerState {
     /// Per-star unshielded load (wire + sink pins): constant per topology.
@@ -145,17 +136,23 @@ impl CornerState {
     /// batch-equivalent pass, then propagates arrivals over the whole
     /// tree.
     ///
+    /// An edge that is electrically infeasible under `tech` — a pattern
+    /// the DP placed near its buffer's max load at nominal can overload
+    /// it under a capacitance-derating corner — is reported as the typed
+    /// [`CtsError::NoFeasiblePattern`] of the first such edge in
+    /// bottom-up order, exactly as [`SynthesizedTree::try_evaluate`]
+    /// reports it.
+    ///
     /// # Panics
     ///
-    /// Panics if any edge lacks a pattern or is electrically infeasible
-    /// under the current scales (exactly like
-    /// [`SynthesizedTree::evaluate`]).
+    /// Panics if any edge lacks a pattern (a structural invariant of
+    /// every synthesized tree).
     pub(crate) fn new(
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
         csr: &TreeCsr,
-    ) -> Self {
+    ) -> Result<Self, CtsError> {
         let topo = &tree.topo;
         let n = topo.nodes.len();
         let rc_front = tech.rc(Side::Front);
@@ -197,7 +194,10 @@ impl CornerState {
                         tech,
                         tree.buffer_scales[cu],
                     )
-                    .expect("chosen pattern feasible");
+                    .ok_or(CtsError::NoFeasiblePattern {
+                        node: c,
+                        edge_len_nm: topo.nodes[cu].edge_len,
+                    })?;
                 up_cap[cu] = ev.up_cap_ff;
                 cap[vu] += ev.up_cap_ff;
             }
@@ -221,18 +221,16 @@ impl CornerState {
         };
         // Top-down arrivals over the whole tree (node 0 = root driver),
         // then discard the bookkeeping journal: this is the base state.
-        // A hard assert, not a debug_assert: under a derated corner a
-        // tree that was feasible at nominal can overload a buffer, and a
-        // release build must fail loudly rather than hand the MCMM
-        // engine a half-propagated state.
-        let mut journal = Vec::new();
+        // The arrival pass re-evaluates every edge at the caps the
+        // bottom-up pass just vetted, so it cannot fail here.
+        let mut scratch = Vec::new();
+        let mut journal = TaggedJournal {
+            corner: 0,
+            entries: &mut scratch,
+        };
         let ok = this.recompute_arrivals_from(tree, tech, model, csr, 0, &mut journal);
-        assert!(
-            ok,
-            "tree is electrically infeasible under technology `{}`",
-            tech.name()
-        );
-        this
+        debug_assert!(ok, "arrival pass re-evaluates vetted edges");
+        Ok(this)
     }
 
     // --- Queries ----------------------------------------------------------
@@ -353,7 +351,7 @@ impl CornerState {
         model: EvalModel,
         csr: &TreeCsr,
         edge: usize,
-        journal: &mut (impl Journal + ?Sized),
+        journal: &mut TaggedJournal<'_>,
     ) -> bool {
         let Some(ev) = self.eval_edge(tree, tech, edge) else {
             return false;
@@ -391,7 +389,7 @@ impl CornerState {
         model: EvalModel,
         csr: &TreeCsr,
         si: usize,
-        journal: &mut (impl Journal + ?Sized),
+        journal: &mut TaggedJournal<'_>,
     ) -> bool {
         let v = tree.topo.stars[si].node as usize;
         let new_cap = self.node_cap(tree, tech, csr, v);
@@ -427,7 +425,7 @@ impl CornerState {
         tech: &Technology,
         csr: &TreeCsr,
         start: usize,
-        journal: &mut (impl Journal + ?Sized),
+        journal: &mut TaggedJournal<'_>,
     ) -> Option<usize> {
         let mut top = start;
         let mut v = start;
@@ -465,7 +463,7 @@ impl CornerState {
         model: EvalModel,
         csr: &TreeCsr,
         top: usize,
-        journal: &mut (impl Journal + ?Sized),
+        journal: &mut TaggedJournal<'_>,
     ) -> bool {
         let buf = tech.buffer();
         // Grow-only reuse: the stack is taken out of `self` for the
@@ -533,7 +531,7 @@ impl CornerState {
         tech: &Technology,
         model: EvalModel,
         si: usize,
-        journal: &mut (impl Journal + ?Sized),
+        journal: &mut TaggedJournal<'_>,
     ) {
         let v = tree.topo.stars[si].node as usize;
         let buf = tech.buffer();
@@ -581,360 +579,14 @@ impl CornerState {
     }
 }
 
-/// The mutation / undo / query surface the optimization passes run over,
-/// implemented by the single-corner [`IncrementalEval`] and the
-/// multi-corner [`crate::mcmm::MultiCornerEval`].
-///
-/// The *objective view* methods ([`TrialEval::latency_skew_ps`],
-/// [`TrialEval::star_earliest`], [`TrialEval::star_load`],
-/// [`TrialEval::tech`], [`TrialEval::metrics`]) are what a pass scores
-/// and ranks with: the single-corner evaluator reports its one corner,
-/// while the MCMM evaluator reports according to its configured
-/// [`crate::mcmm::RobustObjective`] (worst-corner by default) — which is
-/// how the same pass optimizes nominal or worst-corner MOES without
-/// changing a line.
-pub trait TrialEval {
-    /// The underlying tree (knobs reflect all non-undone mutations).
-    fn tree(&self) -> &SynthesizedTree;
-    /// The delay model the evaluator propagates.
-    fn model(&self) -> EvalModel;
-    /// The technology of the objective view (see trait docs).
-    fn tech(&self) -> &Technology;
-    /// Full metrics of the objective view's corner.
-    fn metrics(&self) -> TreeMetrics;
-    /// `(latency_ps, skew_ps)` of the objective view, in one fold.
-    fn latency_skew_ps(&self) -> (f64, f64);
-    /// Downstream capacitance at trunk node `v` (objective view).
-    fn load_at(&self, v: usize) -> f64;
-    /// Unshielded load of star `si` (objective view).
-    fn star_load(&self, si: usize) -> f64;
-    /// Earliest sink arrival within star `si` (objective view).
-    fn star_earliest(&self, si: usize) -> f64;
-    /// Current drive scale of the buffer embedded in edge `edge`.
-    fn buffer_scale(&self, edge: usize) -> f64;
-    /// Re-sizes the buffer embedded in `edge`; `false` = rolled back.
-    fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool;
-    /// Re-assigns the pattern of `edge`; `false` = rolled back.
-    fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool;
-    /// Adds/removes the refinement buffer of star `si`; `false` = rolled
-    /// back.
-    fn set_star_buffer(&mut self, si: usize, on: bool) -> bool;
-    /// Current journal position (pass to [`TrialEval::undo_to`]).
-    fn mark(&self) -> usize;
-    /// Reverts all state back to `mark`.
-    fn undo_to(&mut self, mark: usize);
-    /// Reverts the most recent mutation.
-    fn undo(&mut self);
-    /// Accepts all mutations so far (undo can no longer cross this point).
-    fn commit(&mut self);
-}
-
-/// Incremental evaluator over a [`SynthesizedTree`]. See the module docs
-/// for the dirty-path invariants.
-#[derive(Debug)]
-pub struct IncrementalEval<'a> {
-    tree: &'a mut SynthesizedTree,
-    tech: &'a Technology,
-    model: EvalModel,
-    /// Flat trunk adjacency (cloned from the topology's cache so the tree
-    /// can stay mutably borrowed).
-    csr: TreeCsr,
-    /// The resident evaluation state under `tech`.
-    state: CornerState,
-    journal: Vec<Entry>,
-    /// Journal position at the start of the last mutation.
-    last_mark: usize,
-}
-
-impl<'a> IncrementalEval<'a> {
-    /// Builds the full evaluation state with one batch-equivalent pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge lacks a pattern or is electrically infeasible
-    /// under the current scales (exactly like [`SynthesizedTree::evaluate`]).
-    pub fn new(tree: &'a mut SynthesizedTree, tech: &'a Technology, model: EvalModel) -> Self {
-        let csr = tree.topo.csr().clone();
-        let state = CornerState::new(tree, tech, model, &csr);
-        IncrementalEval {
-            tree,
-            tech,
-            model,
-            csr,
-            state,
-            journal: Vec::new(),
-            last_mark: 0,
-        }
-    }
-
-    /// The underlying tree (knobs reflect all non-undone mutations).
-    pub fn tree(&self) -> &SynthesizedTree {
-        self.tree
-    }
-
-    /// The delay model this evaluator propagates.
-    pub fn model(&self) -> EvalModel {
-        self.model
-    }
-
-    /// The technology the evaluator times against.
-    pub fn tech(&self) -> &Technology {
-        self.tech
-    }
-
-    /// Per-sink arrival times, bit-identical to
-    /// [`TreeMetrics::arrivals`] of a batch evaluation.
-    pub fn arrivals(&self) -> &[f64] {
-        self.state.arrivals()
-    }
-
-    /// Downstream capacitance at trunk node `v` (what the sink end of its
-    /// incoming edge drives) — the incremental replacement for the former
-    /// `sizing::probe_load` full pass.
-    pub fn load_at(&self, v: usize) -> f64 {
-        self.state.load_at(v)
-    }
-
-    /// Unshielded load of star `si` (wire + sink pins).
-    pub fn star_load(&self, si: usize) -> f64 {
-        self.state.star_load(si)
-    }
-
-    /// Earliest sink arrival within star `si`.
-    pub fn star_earliest(&self, si: usize) -> f64 {
-        self.state.star_earliest(si)
-    }
-
-    /// Current drive scale of the buffer embedded in edge `edge`.
-    pub fn buffer_scale(&self, edge: usize) -> f64 {
-        self.tree.buffer_scales[edge]
-    }
-
-    /// Maximum sink arrival. Bit-identical to [`TreeMetrics::latency_ps`]:
-    /// within a star, arrivals are `base + d` with `d ≥ 0` constant, and
-    /// `x ↦ base + x` is monotone, so the per-star maximum is attained at
-    /// the maximal `d` and equals the fold over all sinks.
-    pub fn latency_ps(&self) -> f64 {
-        self.latency_skew_ps().0
-    }
-
-    /// Latest minus earliest sink arrival, bit-identical to
-    /// [`TreeMetrics::skew_ps`].
-    pub fn skew_ps(&self) -> f64 {
-        self.latency_skew_ps().1
-    }
-
-    /// `(latency_ps, skew_ps)` in one fold over the stars — the single
-    /// accumulation behind [`IncrementalEval::latency_ps`] and
-    /// [`IncrementalEval::skew_ps`], so the three accessors cannot drift.
-    /// Trial-move inner loops evaluate their objective through this to
-    /// pay one star scan instead of two.
-    pub fn latency_skew_ps(&self) -> (f64, f64) {
-        self.state.latency_skew_ps()
-    }
-
-    /// Full metrics of the current state, bit-identical to
-    /// [`SynthesizedTree::evaluate`] on the mutated tree.
-    pub fn metrics(&self) -> TreeMetrics {
-        self.state.metrics(self.tree, self.tech)
-    }
-
-    // --- Mutations -------------------------------------------------------
-
-    /// Re-sizes the buffer embedded in `edge` (a non-root trunk node).
-    ///
-    /// Returns `false` — with the state fully rolled back — when the new
-    /// scale makes any pattern on the dirty path infeasible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is 0 or `scale` is not positive.
-    pub fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
-        assert!(edge != 0, "node 0 has no incoming edge");
-        assert!(scale > 0.0, "buffer scale must be positive");
-        let mark = self.journal.len();
-        self.last_mark = mark;
-        if self.tree.buffer_scales[edge] == scale {
-            return true;
-        }
-        self.journal
-            .push(Entry::Scale(edge as u32, self.tree.buffer_scales[edge]));
-        self.tree.buffer_scales[edge] = scale;
-        // The injected fault fires *after* propagation so the rollback
-        // must revert a fully repropagated dirty path, not just the knob.
-        if self.state.repropagate_edge(
-            self.tree,
-            self.tech,
-            self.model,
-            &self.csr,
-            edge,
-            &mut self.journal,
-        ) && !fault::fault_infeasible(fault::SITE_INCREMENTAL)
-        {
-            true
-        } else {
-            self.undo_to(mark);
-            false
-        }
-    }
-
-    /// Re-assigns the pattern of `edge` (a non-root trunk node). Side
-    /// legality is *not* checked here; run
-    /// [`SynthesizedTree::validate_sides`] before accepting a final tree.
-    ///
-    /// Returns `false` — with the state fully rolled back — when the new
-    /// pattern is infeasible on this edge or overloads an ancestor buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is 0.
-    pub fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
-        assert!(edge != 0, "node 0 has no incoming edge");
-        let mark = self.journal.len();
-        self.last_mark = mark;
-        if self.tree.patterns[edge] == Some(pattern) {
-            return true;
-        }
-        self.journal
-            .push(Entry::Pattern(edge as u32, self.tree.patterns[edge]));
-        self.tree.patterns[edge] = Some(pattern);
-        if self.state.repropagate_edge(
-            self.tree,
-            self.tech,
-            self.model,
-            &self.csr,
-            edge,
-            &mut self.journal,
-        ) && !fault::fault_infeasible(fault::SITE_INCREMENTAL)
-        {
-            true
-        } else {
-            self.undo_to(mark);
-            false
-        }
-    }
-
-    /// Adds or removes the skew-refinement buffer driving star `si`.
-    ///
-    /// Returns `false` — with the state fully rolled back — when the
-    /// change overloads a buffer on the ancestor path.
-    pub fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        let mark = self.journal.len();
-        self.last_mark = mark;
-        if self.tree.star_buffers[si] == on {
-            return true;
-        }
-        self.journal
-            .push(Entry::StarBuffer(si as u32, self.tree.star_buffers[si]));
-        self.tree.star_buffers[si] = on;
-        if self.state.apply_star_toggle(
-            self.tree,
-            self.tech,
-            self.model,
-            &self.csr,
-            si,
-            &mut self.journal,
-        ) && !fault::fault_infeasible(fault::SITE_INCREMENTAL)
-        {
-            true
-        } else {
-            self.undo_to(mark);
-            false
-        }
-    }
-
-    // --- Undo machinery --------------------------------------------------
-
-    /// Current journal position; pass to [`IncrementalEval::undo_to`] to
-    /// revert every mutation made after this call.
-    pub fn mark(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Reverts all state back to `mark` (from [`IncrementalEval::mark`]).
-    pub fn undo_to(&mut self, mark: usize) {
-        while self.journal.len() > mark {
-            match self.journal.pop().expect("journal non-empty") {
-                Entry::Scale(e, old) => self.tree.buffer_scales[e as usize] = old,
-                Entry::Pattern(e, old) => self.tree.patterns[e as usize] = old,
-                Entry::StarBuffer(si, old) => self.tree.star_buffers[si as usize] = old,
-                numeric => self.state.undo_entry(numeric),
-            }
-        }
-        self.last_mark = self.last_mark.min(mark);
-    }
-
-    /// Reverts the most recent mutation (no-op if it was already undone or
-    /// committed).
-    pub fn undo(&mut self) {
-        self.undo_to(self.last_mark);
-    }
-
-    /// Accepts all mutations so far: clears the journal, making them
-    /// permanent (undo can no longer cross this point).
-    pub fn commit(&mut self) {
-        self.journal.clear();
-        self.last_mark = 0;
-    }
-}
-
-impl TrialEval for IncrementalEval<'_> {
-    fn tree(&self) -> &SynthesizedTree {
-        IncrementalEval::tree(self)
-    }
-    fn model(&self) -> EvalModel {
-        IncrementalEval::model(self)
-    }
-    fn tech(&self) -> &Technology {
-        IncrementalEval::tech(self)
-    }
-    fn metrics(&self) -> TreeMetrics {
-        IncrementalEval::metrics(self)
-    }
-    fn latency_skew_ps(&self) -> (f64, f64) {
-        IncrementalEval::latency_skew_ps(self)
-    }
-    fn load_at(&self, v: usize) -> f64 {
-        IncrementalEval::load_at(self, v)
-    }
-    fn star_load(&self, si: usize) -> f64 {
-        IncrementalEval::star_load(self, si)
-    }
-    fn star_earliest(&self, si: usize) -> f64 {
-        IncrementalEval::star_earliest(self, si)
-    }
-    fn buffer_scale(&self, edge: usize) -> f64 {
-        IncrementalEval::buffer_scale(self, edge)
-    }
-    fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
-        IncrementalEval::set_buffer_scale(self, edge, scale)
-    }
-    fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
-        IncrementalEval::set_pattern(self, edge, pattern)
-    }
-    fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        IncrementalEval::set_star_buffer(self, si, on)
-    }
-    fn mark(&self) -> usize {
-        IncrementalEval::mark(self)
-    }
-    fn undo_to(&mut self, mark: usize) {
-        IncrementalEval::undo_to(self, mark)
-    }
-    fn undo(&mut self) {
-        IncrementalEval::undo(self)
-    }
-    fn commit(&mut self) {
-        IncrementalEval::commit(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::mcmm::MultiCornerEval;
     use crate::route::HierarchicalRouter;
+    use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
+    use dscts_tech::{CornerSet, Technology};
 
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
@@ -954,26 +606,40 @@ mod tests {
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 
+    fn buffered_edge(t: &SynthesizedTree) -> usize {
+        (1..t.topo.nodes.len())
+            .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
+            .expect("some buffered edge")
+    }
+
+    /// A single-corner evaluator: the one resident evaluator at K = 1.
+    fn nominal<'a>(
+        t: &'a mut SynthesizedTree,
+        corners: &'a CornerSet,
+        model: EvalModel,
+    ) -> MultiCornerEval<'a> {
+        MultiCornerEval::new(t, corners, model).expect("feasible at nominal")
+    }
+
     #[test]
     fn construction_matches_batch() {
         let (mut t, tech) = tree();
+        let corners = CornerSet::nominal_only(&tech);
         for model in [EvalModel::Elmore, EvalModel::Nldm] {
             let batch = t.evaluate(&tech, model);
-            let inc = IncrementalEval::new(&mut t, &tech, model);
+            let inc = nominal(&mut t, &corners, model);
             assert_eq!(inc.metrics(), batch);
-            assert_eq!(inc.latency_ps(), batch.latency_ps);
-            assert_eq!(inc.skew_ps(), batch.skew_ps);
+            assert_eq!(inc.latency_skew_ps(), (batch.latency_ps, batch.skew_ps));
         }
     }
 
     #[test]
     fn scale_mutation_matches_batch_and_undo_restores() {
         let (mut t, tech) = tree();
-        let edge = (1..t.topo.nodes.len())
-            .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
-            .expect("some buffered edge");
+        let corners = CornerSet::nominal_only(&tech);
+        let edge = buffered_edge(&t);
         let baseline = t.evaluate(&tech, EvalModel::Elmore);
-        let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
+        let mut inc = nominal(&mut t, &corners, EvalModel::Elmore);
         assert!(inc.set_buffer_scale(edge, 2.0));
         let mutated = inc.metrics();
         inc.undo();
@@ -989,7 +655,8 @@ mod tests {
     #[test]
     fn star_buffer_mutation_matches_batch() {
         let (mut t, tech) = tree();
-        let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Nldm);
+        let corners = CornerSet::nominal_only(&tech);
+        let mut inc = nominal(&mut t, &corners, EvalModel::Nldm);
         assert!(inc.set_star_buffer(0, true));
         let mutated = inc.metrics();
         drop(inc);
@@ -999,13 +666,12 @@ mod tests {
     #[test]
     fn infeasible_scale_rolls_back() {
         let (mut t, tech) = tree();
+        let corners = CornerSet::nominal_only(&tech);
         // A vanishing buffer cannot drive its load: mutation must refuse
         // and leave no trace.
-        let edge = (1..t.topo.nodes.len())
-            .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
-            .expect("some buffered edge");
+        let edge = buffered_edge(&t);
         let baseline = t.evaluate(&tech, EvalModel::Elmore);
-        let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
+        let mut inc = nominal(&mut t, &corners, EvalModel::Elmore);
         assert!(!inc.set_buffer_scale(edge, 1e-6));
         assert_eq!(inc.metrics(), baseline);
         assert_eq!(inc.mark(), 0, "failed mutation leaves an empty journal");
@@ -1014,8 +680,9 @@ mod tests {
     #[test]
     fn mark_groups_roll_back_together() {
         let (mut t, tech) = tree();
+        let corners = CornerSet::nominal_only(&tech);
         let baseline = t.evaluate(&tech, EvalModel::Elmore);
-        let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
+        let mut inc = nominal(&mut t, &corners, EvalModel::Elmore);
         let mark = inc.mark();
         assert!(inc.set_star_buffer(0, true));
         assert!(inc.set_star_buffer(1, true));
@@ -1026,28 +693,39 @@ mod tests {
 
     #[test]
     fn load_at_matches_probe_semantics() {
-        // `load_at` is what `probe_load` used to recompute from scratch.
+        // The resident downstream load: the root drives a positive load.
         let (mut t, tech) = tree();
-        let batch = t.evaluate(&tech, EvalModel::Elmore);
-        let inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
-        // Root load equals the cap the DP reported for the driver.
+        let corners = CornerSet::nominal_only(&tech);
+        let inc = nominal(&mut t, &corners, EvalModel::Elmore);
         assert!(inc.load_at(0) > 0.0);
-        drop(inc);
-        let _ = batch;
     }
 
     #[test]
     fn trial_eval_object_view_matches_inherent() {
-        // The trait surface is a faithful delegate of the inherent API.
+        // At K = 1 the objective view the passes score with is the one
+        // corner's view, whatever the configured robust objective.
+        use crate::mcmm::RobustObjective;
         let (mut t, tech) = tree();
-        let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
-        let inherent = inc.metrics();
-        let via_trait = TrialEval::metrics(&inc);
-        assert_eq!(inherent, via_trait);
-        let e: &mut dyn TrialEval = &mut inc;
-        assert_eq!(e.latency_skew_ps(), (inherent.latency_ps, inherent.skew_ps));
-        assert!(e.set_star_buffer(0, true));
-        e.undo();
-        assert_eq!(e.metrics(), inherent);
+        let corners = CornerSet::nominal_only(&tech);
+        for objective in [RobustObjective::WorstCorner, RobustObjective::Nominal] {
+            let mut inc = nominal(&mut t, &corners, EvalModel::Elmore).with_objective(objective);
+            let inherent = inc.corner_metrics(0);
+            assert_eq!(inc.metrics(), inherent);
+            assert_eq!(inc.focus_corner(), 0);
+            assert_eq!(
+                inc.latency_skew_ps(),
+                (inherent.latency_ps, inherent.skew_ps)
+            );
+            assert_eq!(inc.star_earliest(0), {
+                let s = &inc.tree().topo.stars[0];
+                s.sinks
+                    .iter()
+                    .map(|&sk| inherent.arrivals[sk as usize])
+                    .fold(f64::INFINITY, f64::min)
+            });
+            assert!(inc.set_star_buffer(0, true));
+            inc.undo();
+            assert_eq!(inc.metrics(), inherent);
+        }
     }
 }

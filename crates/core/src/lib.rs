@@ -36,13 +36,16 @@
 //! hot paths run rayon-parallel with bit-identical results at any thread
 //! count.
 //!
-//! Every optimization pass runs on the [`IncrementalEval`] engine: full
-//! evaluation state stays resident and each trial move re-propagates only
-//! its dirty ancestor path and subtree, with journaled undo for rejected
-//! moves — bit-identical to [`SynthesizedTree::evaluate`] and orders of
-//! magnitude faster in the inner loops. The legacy free functions
-//! ([`sizing::resize_for_skew`], [`skew::refine`]) remain as thin,
-//! bit-identical wrappers over the corresponding passes.
+//! Every optimization pass runs on one resident evaluator,
+//! [`MultiCornerEval`]: full evaluation state stays resident per corner
+//! and each trial move re-propagates only its dirty ancestor path and
+//! subtree, with journaled undo for rejected moves — bit-identical to
+//! [`SynthesizedTree::evaluate`] and orders of magnitude faster in the
+//! inner loops. A single-technology run is the K = 1 case
+//! ([`dscts_tech::CornerSet::nominal_only`]); a corner-aware run
+//! ([`DsCts::corners`]) fans every move out to its PVT corners. Passes
+//! have one execution method ([`OptPass::run`]) and the
+//! [`PassManager`] one tree entry point, whatever the corner count.
 //!
 //! Most users want the [`DsCts`] pipeline builder; custom optimization
 //! schedules plug in through [`DsCts::schedule`] (see the [`opt`] module
@@ -186,7 +189,7 @@ pub mod baseline;
 mod dp;
 pub mod dse;
 mod error;
-pub mod incremental;
+mod incremental;
 pub mod mcmm;
 pub mod opt;
 mod pattern;
@@ -211,7 +214,6 @@ pub use dp::{
     PruneMode, RootCand,
 };
 pub use error::CtsError;
-pub use incremental::{IncrementalEval, TrialEval};
 pub use mcmm::{CornerReport, MultiCornerEval, RobustMetrics, RobustObjective};
 pub use opt::{
     AnnealConfig, AnnealedSizingPass, OptCtx, OptPass, OptSchedule, PassManager, PassReport,

@@ -4,13 +4,14 @@
 //! delay model, but real double-side CTS sign-off is multi-corner:
 //! front/back RC, nTSV and buffer delays derate differently across PVT
 //! corners (`dscts_tech::CornerSet`), and a tree sized at nominal can be
-//! badly skewed at SS. This module makes every optimizer and sweep built
-//! on the incremental engine corner-aware through one new subsystem:
+//! badly skewed at SS. This module holds the one resident evaluator every
+//! optimizer and sweep runs on:
 //!
-//! * [`MultiCornerEval`] — K resident [`crate::IncrementalEval`]-style
-//!   evaluation states (one per corner, sharing the per-corner derated
-//!   technologies a [`CornerSet`] owns) over the **same**
-//!   [`SynthesizedTree`]. Every mutation
+//! * [`MultiCornerEval`] — K resident per-corner evaluation states (the
+//!   crate's `incremental` module holds the dirty-path invariants) over the
+//!   **same** [`SynthesizedTree`], one per corner of a [`CornerSet`].
+//!   Single-technology callers pass [`CornerSet::nominal_only`] (K = 1);
+//!   a corner-aware pipeline passes its PVT set. Every mutation
 //!   ([`MultiCornerEval::set_buffer_scale`],
 //!   [`MultiCornerEval::set_pattern`],
 //!   [`MultiCornerEval::set_star_buffer`]) writes the knob once and fans
@@ -23,11 +24,13 @@
 //!   infeasible in *any* corner rolls the whole fan-out back and returns
 //!   `false`.
 //! * [`RobustObjective`] — which cross-corner reduction the evaluator's
-//!   *objective view* (the [`TrialEval`] surface the optimization passes
-//!   score with) reports: the nominal corner, or the component-wise
-//!   worst corner (minimax). Running any [`crate::opt`] schedule through
-//!   [`crate::opt::PassManager::run_corners`] therefore optimizes
-//!   worst-corner MOES instead of nominal without changing a pass.
+//!   *objective view* ([`MultiCornerEval::latency_skew_ps`],
+//!   [`MultiCornerEval::star_earliest`], [`MultiCornerEval::star_load`],
+//!   [`MultiCornerEval::tech`]) reports to the optimization passes: the
+//!   nominal corner, or the component-wise worst corner (minimax).
+//!   Running an [`crate::opt`] schedule over a PVT set therefore
+//!   optimizes worst-corner MOES instead of nominal without changing a
+//!   pass; at K = 1 both objectives are the one corner's view.
 //! * [`RobustMetrics`] / [`CornerReport`] — cross-corner summaries:
 //!   worst-corner latency/skew (and which corner attains them) plus the
 //!   cross-corner arrival spread, an OCV proxy (the maximum over sinks
@@ -35,16 +38,20 @@
 //!
 //! # Bit-identity and cost
 //!
-//! Each corner state runs exactly the arithmetic of the single-corner
-//! engine (they share `CornerState`), so a [`MultiCornerEval`] over a
-//! single identity corner ([`CornerSet::nominal_only`]) is bit-identical
-//! to [`crate::IncrementalEval`] under arbitrary interleaved mutations
-//! and undos — enforced by `mcmm_proptests` for both [`EvalModel`]s.
-//! A K-corner mutation costs K dirty paths (O(K·(depth + subtree))),
-//! which the `mcmm_eval` criterion group shows is far cheaper than the K
-//! full `evaluate()` calls a non-incremental MCMM loop would pay.
+//! Each corner state runs exactly the batch evaluator's arithmetic, so
+//! corner `k`'s metrics equal [`SynthesizedTree::evaluate`] under
+//! `corners.tech(k)` after any interleaving of mutations and undos —
+//! enforced by `incremental_proptests` (K = 1, both [`EvalModel`]s) and
+//! the per-corner unit tests below. A K-corner mutation costs K dirty
+//! paths (O(K·(depth + subtree))), which the `mcmm_eval` criterion group
+//! shows is far cheaper than the K full `evaluate()` calls a
+//! non-incremental MCMM loop would pay. The fan-out records into one
+//! concrete journal type with no dynamic dispatch, so a K = 1 trial move
+//! costs little beyond its one dirty-path repair (`opt_micro` prints
+//! the annealer at K = 1 and K = 3).
 
-use crate::incremental::{CornerState, Entry, Journal, TrialEval};
+use crate::error::CtsError;
+use crate::incremental::{CornerState, Entry, Journal, TaggedJournal};
 use crate::pattern::Pattern;
 use crate::resilience::{fault, CancelToken};
 use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
@@ -63,20 +70,8 @@ const KNOB: u32 = u32::MAX;
 /// repair work amortizes the spawn.
 const PAR_FANOUT_MIN_NODES: usize = 10_000;
 
-/// A journal adapter that tags every recorded entry with its corner.
-struct TaggedJournal<'j> {
-    corner: u32,
-    journal: &'j mut Vec<(u32, Entry)>,
-}
-
-impl Journal for TaggedJournal<'_> {
-    fn record(&mut self, e: Entry) {
-        self.journal.push((self.corner, e));
-    }
-}
-
-/// Which cross-corner reduction the evaluator's objective view (its
-/// [`TrialEval`] surface) reports to the optimization passes.
+/// Which cross-corner reduction the evaluator's objective view reports
+/// to the optimization passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RobustObjective {
     /// Score with the nominal corner only — the single-corner behaviour,
@@ -86,10 +81,10 @@ pub enum RobustObjective {
     /// and the maximum skew over all corners (possibly attained at
     /// different corners). Minimizing a weighted sum of these minimizes
     /// an upper bound on every corner's MOES — the minimax ("robust")
-    /// objective. Star-level rankings ([`TrialEval::star_earliest`],
-    /// [`TrialEval::star_load`], [`TrialEval::tech`]) come from the
-    /// corner currently attaining the worst skew, the one a skew-repair
-    /// pass needs to fix.
+    /// objective. Star-level rankings ([`MultiCornerEval::star_earliest`],
+    /// [`MultiCornerEval::star_load`], [`MultiCornerEval::tech`]) come
+    /// from the corner currently attaining the worst skew, the one a
+    /// skew-repair pass needs to fix.
     #[default]
     WorstCorner,
 }
@@ -229,23 +224,25 @@ impl CornerReport {
     }
 }
 
-/// Multi-corner incremental evaluator: K resident per-corner evaluation
-/// states over one [`SynthesizedTree`], mutated in lockstep under a
-/// single corner-tagged undo journal. See the [module docs](self).
+/// The resident incremental evaluator: K per-corner evaluation states
+/// over one [`SynthesizedTree`], mutated in lockstep under a single
+/// corner-tagged undo journal. K = 1 ([`CornerSet::nominal_only`]) is the
+/// single-technology evaluator. See the [module docs](self).
 #[derive(Debug)]
 pub struct MultiCornerEval<'a> {
     tree: &'a mut SynthesizedTree,
     corners: &'a CornerSet,
     model: EvalModel,
     objective: RobustObjective,
-    /// Flat trunk adjacency, shared by every corner state.
+    /// Flat trunk adjacency, shared by every corner state (cloned from the
+    /// topology's cache so the tree can stay mutably borrowed).
     csr: TreeCsr,
     /// One resident evaluation state per corner, in corner order.
     states: Vec<CornerState>,
     /// The shared journal: `(corner, entry)` pairs, with [`KNOB`] tagging
     /// tree-knob entries. One `mark`/`undo_to` reverts knob and all
     /// corners atomically.
-    journal: Vec<(u32, Entry)>,
+    journal: Journal,
     /// Journal position at the start of the last mutation.
     last_mark: usize,
     /// Memoized [`MultiCornerEval::focus_corner`]: the worst-skew fold
@@ -259,7 +256,7 @@ pub struct MultiCornerEval<'a> {
     parallel: Option<bool>,
     /// Reusable per-corner scratch journals for the parallel fan-out
     /// (grow-only, so steady-state parallel mutations allocate nothing).
-    scratch: Vec<Vec<Entry>>,
+    scratch: Vec<Journal>,
     /// Optional run-budget token: a deadline firing mid-move rejects the
     /// move (fully rolled back) instead of leaving corners half-repaired.
     cancel: Option<CancelToken>,
@@ -274,20 +271,29 @@ impl<'a> MultiCornerEval<'a> {
     /// Builds the K per-corner states with one batch-equivalent pass
     /// each, under the default [`RobustObjective::WorstCorner`] view.
     ///
+    /// Derated wire caps can push a pattern the DP placed near its
+    /// buffer's max load at nominal over that limit in some corner. That
+    /// data-dependent infeasibility is reported as the typed
+    /// [`CtsError::NoFeasiblePattern`] of the first offending corner (in
+    /// corner order), exactly as [`CornerReport::try_evaluate`] reports
+    /// it, so a pipeline can retry through its recovery ladder.
+    ///
     /// # Panics
     ///
-    /// Panics if any edge lacks a pattern or is electrically infeasible
-    /// under any corner (derated wire caps can push a marginal pattern
-    /// over the buffer's load limit — exactly the failure a from-scratch
-    /// [`SynthesizedTree::evaluate`] under that corner would hit).
-    pub fn new(tree: &'a mut SynthesizedTree, corners: &'a CornerSet, model: EvalModel) -> Self {
+    /// Panics if any edge lacks a pattern (a structural invariant of
+    /// every synthesized tree).
+    pub fn new(
+        tree: &'a mut SynthesizedTree,
+        corners: &'a CornerSet,
+        model: EvalModel,
+    ) -> Result<Self, CtsError> {
         let csr = tree.topo.csr().clone();
         let states = corners
             .techs()
             .iter()
             .map(|tech| CornerState::new(tree, tech, model, &csr))
-            .collect();
-        MultiCornerEval {
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(MultiCornerEval {
             tree,
             corners,
             model,
@@ -301,7 +307,7 @@ impl<'a> MultiCornerEval<'a> {
             scratch: Vec::new(),
             cancel: None,
             corner_evals: dscts_telemetry::active().map(|t| t.counter("mcmm.corner_evals")),
-        }
+        })
     }
 
     /// Sets the objective view (builder style).
@@ -321,8 +327,8 @@ impl<'a> MultiCornerEval<'a> {
     /// work amortizes the per-mutation thread spawn).
     ///
     /// Both paths are bit-identical at any thread count: each corner
-    /// journals into its own scratch buffer and the buffers are merged
-    /// into the shared journal in corner order — exactly the order the
+    /// journals into its own scratch buffer and the buffers are appended
+    /// to the shared journal in corner order — exactly the order the
     /// serial loop would have produced.
     pub fn with_parallel(mut self, parallel: Option<bool>) -> Self {
         self.parallel = parallel;
@@ -336,6 +342,12 @@ impl<'a> MultiCornerEval<'a> {
     /// normal reject path. `None` (the default) never rejects.
     pub fn set_cancel(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
+    }
+
+    /// The attached run-budget token, if any. Passes poll it inside their
+    /// trial loops and charge each attempted move to its trial budget.
+    pub fn cancel(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
     }
 
     /// Whether the next mutation will fan out in parallel.
@@ -410,14 +422,14 @@ impl<'a> MultiCornerEval<'a> {
     }
 
     /// The corner the objective view ranks stars with: the nominal
-    /// corner, or — under [`RobustObjective::WorstCorner`] — the corner
-    /// currently attaining the worst skew. Memoized between mutations
-    /// (see the `focus` field) so per-star objective-view queries stay
-    /// O(1) after the first.
+    /// corner, or — under [`RobustObjective::WorstCorner`] with more than
+    /// one corner — the corner currently attaining the worst skew.
+    /// Memoized between mutations (see the `focus` field) so per-star
+    /// objective-view queries stay O(1) after the first; a single corner
+    /// is its own focus without any fold.
     pub fn focus_corner(&self) -> usize {
         match self.objective {
-            RobustObjective::Nominal => self.corners.nominal_index(),
-            RobustObjective::WorstCorner => {
+            RobustObjective::WorstCorner if self.states.len() > 1 => {
                 if let Some(k) = self.focus.get() {
                     return k;
                 }
@@ -433,6 +445,7 @@ impl<'a> MultiCornerEval<'a> {
                 self.focus.set(Some(worst));
                 worst
             }
+            _ => self.corners.nominal_index(),
         }
     }
 
@@ -456,11 +469,60 @@ impl<'a> MultiCornerEval<'a> {
         CornerReport::from_per_corner(self.corners, self.per_corner_metrics())
     }
 
+    // --- Objective view ---------------------------------------------------
+    //
+    // What a pass scores and ranks with. Scalar objectives follow the
+    // configured [`RobustObjective`]; star-level queries read the
+    // `focus_corner`. At K = 1 every method is the one corner's view.
+
+    /// The technology of the objective view's focus corner.
+    pub fn tech(&self) -> &Technology {
+        self.corners.tech(self.focus_corner())
+    }
+
+    /// Full metrics of the nominal corner — what schedule reports record,
+    /// so nominal and robust runs compare like for like.
+    pub fn metrics(&self) -> TreeMetrics {
+        self.corner_metrics(self.corners.nominal_index())
+    }
+
+    /// `(latency_ps, skew_ps)` of the objective view, in one fold per
+    /// corner: the nominal corner's, or the component-wise worst.
+    pub fn latency_skew_ps(&self) -> (f64, f64) {
+        match self.objective {
+            RobustObjective::Nominal => self.corner_latency_skew_ps(self.corners.nominal_index()),
+            RobustObjective::WorstCorner => self.worst_latency_skew_ps(),
+        }
+    }
+
+    /// Downstream capacitance at trunk node `v` (what the sink end of its
+    /// incoming edge drives) in the focus corner.
+    pub fn load_at(&self, v: usize) -> f64 {
+        self.states[self.focus_corner()].load_at(v)
+    }
+
+    /// Unshielded load of star `si` (wire + sink pins) in the focus
+    /// corner.
+    pub fn star_load(&self, si: usize) -> f64 {
+        self.states[self.focus_corner()].star_load(si)
+    }
+
+    /// Earliest sink arrival within star `si` in the focus corner.
+    pub fn star_earliest(&self, si: usize) -> f64 {
+        self.states[self.focus_corner()].star_earliest(si)
+    }
+
+    /// Current drive scale of the buffer embedded in edge `edge`.
+    pub fn buffer_scale(&self, edge: usize) -> f64 {
+        self.tree.buffer_scales[edge]
+    }
+
     // --- Mutations -------------------------------------------------------
 
-    /// Fans a knob mutation out to every corner: `apply(state, tech,
-    /// journal)` per corner, rolling the knob and every touched corner
-    /// back atomically when any corner reports infeasibility.
+    /// Fans a knob mutation out to every corner: `apply(state, tree, tech,
+    /// model, csr, journal)` per corner, rolling the knob and every
+    /// touched corner back atomically when any corner reports
+    /// infeasibility.
     ///
     /// Serially, corners repair one after another into the shared tagged
     /// journal (with an early break on the first infeasible corner). In
@@ -469,7 +531,9 @@ impl<'a> MultiCornerEval<'a> {
     /// appended to the shared journal in corner order afterwards — on
     /// success the shared journal is bit-identical to the serial one, and
     /// on failure `undo_to(mark)` restores the identical pre-mutation
-    /// state either way.
+    /// state either way. The injected trial-move fault fires only after
+    /// a successful fan-out, so its rollback reverts fully repropagated
+    /// dirty paths, not just the knob.
     fn fan_out(
         &mut self,
         mark: usize,
@@ -479,17 +543,15 @@ impl<'a> MultiCornerEval<'a> {
                 &Technology,
                 EvalModel,
                 &TreeCsr,
-                &mut dyn Journal,
+                &mut TaggedJournal<'_>,
             ) -> bool
             + Sync,
     ) -> bool {
         self.focus.set(None);
-        // An expired budget (or an injected MCMM fault) rejects the move
-        // through the same path as an infeasible corner: the already
-        // journaled knob rolls back and the caller sees `false`.
-        if fault::fault_infeasible(fault::SITE_MCMM)
-            || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-        {
+        // An expired budget rejects the move through the same path as an
+        // infeasible corner: the already journaled knob rolls back and
+        // the caller sees `false`.
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             self.undo_to(mark);
             return false;
         }
@@ -506,7 +568,7 @@ impl<'a> MultiCornerEval<'a> {
             let model = self.model;
             let csr = &self.csr;
             let apply = &apply;
-            let mut work: Vec<(usize, &mut CornerState, &mut Vec<Entry>, bool)> = self
+            let mut work: Vec<(usize, &mut CornerState, &mut Journal, bool)> = self
                 .states
                 .iter_mut()
                 .zip(self.scratch.iter_mut())
@@ -517,20 +579,22 @@ impl<'a> MultiCornerEval<'a> {
                 })
                 .collect();
             work.par_iter_mut().for_each(|(k, state, buf, corner_ok)| {
-                *corner_ok = apply(state, tree, corners.tech(*k), model, csr, &mut **buf);
+                let mut journal = TaggedJournal {
+                    corner: *k as u32,
+                    entries: buf,
+                };
+                *corner_ok = apply(state, tree, corners.tech(*k), model, csr, &mut journal);
             });
             ok = work.iter().all(|(.., corner_ok)| *corner_ok);
             drop(work);
-            for (k, buf) in self.scratch.iter_mut().enumerate() {
-                for e in buf.drain(..) {
-                    self.journal.push((k as u32, e));
-                }
+            for buf in &mut self.scratch {
+                self.journal.append(buf);
             }
         } else {
             for (k, state) in self.states.iter_mut().enumerate() {
                 let mut journal = TaggedJournal {
                     corner: k as u32,
-                    journal: &mut self.journal,
+                    entries: &mut self.journal,
                 };
                 if !apply(
                     state,
@@ -545,6 +609,7 @@ impl<'a> MultiCornerEval<'a> {
                 }
             }
         }
+        let ok = ok && !fault::fault_infeasible(fault::SITE_TRIAL);
         if !ok {
             self.undo_to(mark);
         }
@@ -663,60 +728,6 @@ impl<'a> MultiCornerEval<'a> {
     }
 }
 
-impl TrialEval for MultiCornerEval<'_> {
-    fn tree(&self) -> &SynthesizedTree {
-        MultiCornerEval::tree(self)
-    }
-    fn model(&self) -> EvalModel {
-        MultiCornerEval::model(self)
-    }
-    fn tech(&self) -> &Technology {
-        self.corners.tech(self.focus_corner())
-    }
-    fn metrics(&self) -> TreeMetrics {
-        self.corner_metrics(self.corners.nominal_index())
-    }
-    fn latency_skew_ps(&self) -> (f64, f64) {
-        match self.objective {
-            RobustObjective::Nominal => self.corner_latency_skew_ps(self.corners.nominal_index()),
-            RobustObjective::WorstCorner => self.worst_latency_skew_ps(),
-        }
-    }
-    fn load_at(&self, v: usize) -> f64 {
-        self.states[self.focus_corner()].load_at(v)
-    }
-    fn star_load(&self, si: usize) -> f64 {
-        self.states[self.focus_corner()].star_load(si)
-    }
-    fn star_earliest(&self, si: usize) -> f64 {
-        self.states[self.focus_corner()].star_earliest(si)
-    }
-    fn buffer_scale(&self, edge: usize) -> f64 {
-        self.tree.buffer_scales[edge]
-    }
-    fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
-        MultiCornerEval::set_buffer_scale(self, edge, scale)
-    }
-    fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
-        MultiCornerEval::set_pattern(self, edge, pattern)
-    }
-    fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        MultiCornerEval::set_star_buffer(self, si, on)
-    }
-    fn mark(&self) -> usize {
-        MultiCornerEval::mark(self)
-    }
-    fn undo_to(&mut self, mark: usize) {
-        MultiCornerEval::undo_to(self, mark)
-    }
-    fn undo(&mut self) {
-        MultiCornerEval::undo(self)
-    }
-    fn commit(&mut self) {
-        MultiCornerEval::commit(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,7 +764,7 @@ mod tests {
                 .iter()
                 .map(|ct| t.evaluate(ct, model))
                 .collect();
-            let mc = MultiCornerEval::new(&mut t, &corners, model);
+            let mc = MultiCornerEval::new(&mut t, &corners, model).expect("feasible");
             for (k, b) in batch.iter().enumerate() {
                 assert_eq!(&mc.corner_metrics(k), b, "corner {k}");
             }
@@ -767,7 +778,7 @@ mod tests {
         let edge = (1..t.topo.nodes.len())
             .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
             .expect("some buffered edge");
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         assert!(mc.set_buffer_scale(edge, 2.0));
         assert!(mc.set_star_buffer(0, true));
         let per_corner: Vec<TreeMetrics> = (0..mc.corner_count())
@@ -787,7 +798,7 @@ mod tests {
     fn shared_journal_reverts_all_corners_atomically() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Nldm);
+        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Nldm).expect("feasible");
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
@@ -809,7 +820,7 @@ mod tests {
         let edge = (1..t.topo.nodes.len())
             .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
             .expect("some buffered edge");
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
@@ -825,7 +836,7 @@ mod tests {
     fn worst_view_bounds_every_corner() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         let (wl, ws) = mc.worst_latency_skew_ps();
         for k in 0..mc.corner_count() {
             let (l, s) = mc.corner_latency_skew_ps(k);
@@ -843,13 +854,14 @@ mod tests {
     fn objective_views_differ_as_configured() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
-        let worst = TrialEval::latency_skew_ps(&mc);
+        let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
+        let worst = mc.latency_skew_ps();
         assert_eq!(worst, mc.worst_latency_skew_ps());
         let nominal_view = {
             let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore)
+                .expect("feasible")
                 .with_objective(RobustObjective::Nominal);
-            TrialEval::latency_skew_ps(&mc)
+            mc.latency_skew_ps()
         };
         assert!(nominal_view.0 < worst.0, "SS latency dominates TT");
     }
@@ -858,7 +870,7 @@ mod tests {
     fn focus_corner_cache_tracks_mutations() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         let fresh_focus = |mc: &MultiCornerEval<'_>| {
             // The uncached answer: argmax of per-corner skew.
             (0..mc.corner_count())
@@ -941,29 +953,34 @@ mod tests {
         );
     }
 
+    /// The evaluator's constructor reports a corner that overloads an
+    /// embedded buffer as the same typed infeasibility
+    /// `CornerReport::try_evaluate` reports, instead of panicking.
     #[test]
-    fn single_nominal_corner_is_bit_identical_to_incremental() {
-        // The proptest suite exercises this over random designs and
-        // interleaved mutations; this is the deterministic smoke case.
-        use crate::incremental::IncrementalEval;
-        let (t, tech) = tree();
-        let corners = CornerSet::nominal_only(&tech);
-        let edge = (1..t.topo.nodes.len())
-            .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
-            .expect("some buffered edge");
-        let mut t_inc = t.clone();
-        let mut t_mc = t.clone();
-        let mut inc = IncrementalEval::new(&mut t_inc, &tech, EvalModel::Elmore);
-        let mut mc = MultiCornerEval::new(&mut t_mc, &corners, EvalModel::Elmore);
-        assert_eq!(inc.metrics(), mc.corner_metrics(0));
-        assert_eq!(
-            inc.set_buffer_scale(edge, 0.5),
-            mc.set_buffer_scale(edge, 0.5)
-        );
-        assert_eq!(inc.metrics(), mc.corner_metrics(0));
-        inc.undo();
-        mc.undo();
-        assert_eq!(inc.metrics(), mc.corner_metrics(0));
-        assert_eq!(inc.latency_skew_ps(), mc.worst_latency_skew_ps());
+    fn construction_types_corner_infeasibility() {
+        use dscts_tech::{Corner, DerateFactors, WireDerate};
+        let (mut t, tech) = tree();
+        let overload = WireDerate {
+            res: 1.0,
+            cap: 50.0,
+        };
+        let hot = Corner::new(
+            "HOT",
+            DerateFactors {
+                front_wire: overload,
+                back_wire: overload,
+                buffer_delay: 1.0,
+                ntsv: overload,
+            },
+        )
+        .expect("valid derates");
+        let hostile =
+            CornerSet::expand(&tech, vec![hot, Corner::nominal("TT")], 1).expect("valid set");
+        let want = CornerReport::try_evaluate(&t, &hostile, EvalModel::Elmore)
+            .expect_err("overloaded corner");
+        let got = MultiCornerEval::new(&mut t, &hostile, EvalModel::Elmore)
+            .expect_err("overloaded corner must fail typed");
+        assert!(matches!(got, CtsError::NoFeasiblePattern { .. }), "{got:?}");
+        assert_eq!(got, want, "same first offending edge as the batch report");
     }
 }

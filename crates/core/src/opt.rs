@@ -1,16 +1,16 @@
-//! Composable post-CTS optimization passes over [`IncrementalEval`].
+//! Composable post-CTS optimization passes over the resident evaluator.
 //!
 //! The paper's post-CTS phase (§III-D) is one fixed refinement loop, but
 //! every optimizer this repo has grown since — greedy buffer sizing,
-//! end-point refinement, and now annealed sizing and pattern local search
-//! — is the *same shape*: a trial-move loop over a resident incremental
+//! end-point refinement, annealed sizing and pattern local search — is
+//! the *same shape*: a trial-move loop over a resident incremental
 //! evaluation of the tree, accepting moves that improve an objective and
 //! rolling rejected ones back through the journal. This module makes that
 //! shape a first-class API:
 //!
 //! * [`OptPass`] — one optimizer: a name and a `run` over a shared
-//!   [`OptCtx`] (the [`IncrementalEval`], technology, delay model, and a
-//!   seeded RNG), returning [`PassStats`].
+//!   [`OptCtx`] (the [`MultiCornerEval`] and a seeded RNG), returning
+//!   [`PassStats`].
 //! * [`OptSchedule`] — an ordered, cloneable list of passes plus the RNG
 //!   seed; the value a [`crate::DsCts`] pipeline carries.
 //! * [`PassManager`] — executes a schedule over one evaluator, wrapping
@@ -18,25 +18,31 @@
 //!   [`PassReport`] (folded into [`crate::Outcome::stages`] as
 //!   `opt:<name>` timings by the pipeline).
 //!
-//! The pre-existing optimizers are re-expressed as passes —
-//! [`crate::sizing::SizingPass`] and [`crate::skew::EndpointRefinePass`]
-//! — with the legacy free functions kept as thin, bit-identical wrappers.
-//! Because [`IncrementalEval`] is bit-identical to the batch evaluator
-//! after every mutation, running several passes over one shared evaluator
-//! produces exactly the trees the legacy chain of per-pass evaluators
-//! produced (property-tested in `opt_proptests`).
+//! There is one evaluator and one run path. A schedule runs over the K
+//! corners of a [`CornerSet`] — [`CornerSet::nominal_only`] for a
+//! single-technology run, a PVT set for a robust one — and every pass
+//! scores through the evaluator's objective view, which follows the
+//! configured [`RobustObjective`]. The same pass therefore optimizes
+//! nominal or worst-corner MOES without changing a line, and any custom
+//! pass runs in both. Because the evaluator is bit-identical to the batch
+//! evaluator after every mutation, running several passes over one shared
+//! evaluator produces exactly the trees a chain of per-pass evaluators
+//! would (property-tested in `opt_proptests`).
 //!
-//! Two new optimizers ship on top of the API, closing both remaining
-//! ROADMAP items unlocked by the incremental engine:
+//! Built-in passes:
 //!
+//! * [`crate::skew::EndpointRefinePass`] — the paper's §III-D end-point
+//!   refinement, the default pipeline schedule.
+//! * [`crate::sizing::SizingPass`] — greedy re-sizing of the last buffer
+//!   above each star.
 //! * [`AnnealedSizingPass`] — seeded, deterministic simulated annealing
-//!   over [`IncrementalEval::set_buffer_scale`] (and optionally
-//!   [`IncrementalEval::set_star_buffer`]). The journal is the reject
+//!   over [`MultiCornerEval::set_buffer_scale`] (and optionally
+//!   [`MultiCornerEval::set_star_buffer`]). The journal is the reject
 //!   path: the pass commits only when a new best configuration appears
 //!   and finishes by reverting to the last one — so it can *never*
 //!   degrade the objective it anneals on.
 //! * [`PatternSearchPass`] — post-DP hill climbing over
-//!   [`IncrementalEval::set_pattern`] swaps. Only swaps preserving both
+//!   [`MultiCornerEval::set_pattern`] swaps. Only swaps preserving both
 //!   endpoint sides are proposed (which provably preserves the §III-C
 //!   connectivity constraint), and
 //!   [`SynthesizedTree::validate_sides`] gates the final result
@@ -48,7 +54,7 @@
 //! use dscts_core::opt::{OptCtx, OptPass, OptSchedule, PassStats};
 //! use dscts_core::DsCts;
 //! use dscts_netlist::BenchmarkSpec;
-//! use dscts_tech::Technology;
+//! use dscts_tech::{CornerSet, Technology};
 //! use std::borrow::Cow;
 //!
 //! /// Upsizes every pattern buffer to 2x drive where feasible.
@@ -65,7 +71,8 @@
 //!         for v in 1..eval.tree().topo.nodes.len() {
 //!             if eval.tree().patterns[v].is_some_and(|p| p.buffers() > 0) {
 //!                 stats.attempted += 1;
-//!                 // An overloaded trial rolls itself back and returns false.
+//!                 // An overloaded trial (in any corner) rolls itself
+//!                 // back and returns false.
 //!                 if eval.set_buffer_scale(v, 2.0) {
 //!                     stats.accepted += 1;
 //!                 }
@@ -77,16 +84,25 @@
 //! }
 //!
 //! let design = BenchmarkSpec::c4_riscv32i().generate();
-//! let outcome = DsCts::new(Technology::asap7())
-//!     .schedule(OptSchedule::new().with(MaxDrivePass))
+//! let tech = Technology::asap7();
+//! let schedule = OptSchedule::new().with(MaxDrivePass);
+//! let outcome = DsCts::new(tech.clone())
+//!     .schedule(schedule.clone())
 //!     .run(&design);
 //! let report = outcome.optimization.as_ref().expect("schedule ran");
 //! assert_eq!(report.passes.len(), 1);
 //! assert!(outcome.stage_seconds("opt:max-drive").is_some());
+//!
+//! // The same pass runs unchanged over the SS/TT/FF corners.
+//! let robust = DsCts::new(tech.clone())
+//!     .corners(CornerSet::asap7_pvt(&tech))
+//!     .schedule(schedule)
+//!     .try_run(&design);
+//! assert!(robust.is_ok());
 //! ```
 
 use crate::dp::MoesWeights;
-use crate::incremental::{IncrementalEval, TrialEval};
+use crate::error::CtsError;
 use crate::mcmm::{MultiCornerEval, RobustObjective};
 use crate::pattern::PatternSet;
 use crate::resilience::CancelToken;
@@ -97,84 +113,44 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The shared state one optimization schedule threads through its passes:
-/// the resident evaluator (which borrows the tree mutably and writes
-/// accepted knobs through) and a deterministic RNG.
-///
-/// The evaluator defaults to the single-corner [`IncrementalEval`]; a
-/// multi-corner schedule runs over `OptCtx<MultiCornerEval>` (the
-/// [`MultiOptCtx`] alias) built by [`OptCtx::new_multi`], where every
-/// trial move fans out to all corners and the objective view follows the
-/// configured [`RobustObjective`]. The technology and delay model are
+/// the resident [`MultiCornerEval`] (which borrows the tree mutably,
+/// writes accepted knobs through, and carries the run's cancellation
+/// token) and a deterministic RNG. The technology and delay model are
 /// reachable through the evaluator, so a pass needs nothing beyond this
 /// context.
 #[derive(Debug)]
-pub struct OptCtx<'t, E: TrialEval = IncrementalEval<'t>> {
-    eval: E,
+pub struct OptCtx<'t> {
+    eval: MultiCornerEval<'t>,
     rng: SmallRng,
-    cancel: Option<CancelToken>,
-    _tree: PhantomData<&'t mut SynthesizedTree>,
 }
-
-/// An [`OptCtx`] over the multi-corner evaluator — what
-/// [`OptPass::run_multi`] receives.
-pub type MultiOptCtx<'t> = OptCtx<'t, MultiCornerEval<'t>>;
 
 impl<'t> OptCtx<'t> {
-    /// Builds the single-corner context: one full evaluation pass over
-    /// `tree`, plus an RNG seeded with `seed`.
-    pub fn new(
-        tree: &'t mut SynthesizedTree,
-        tech: &'t Technology,
-        model: EvalModel,
-        seed: u64,
-    ) -> Self {
+    /// A context over an already built evaluator, with an RNG seeded
+    /// with `seed`.
+    pub fn new(eval: MultiCornerEval<'t>, seed: u64) -> Self {
         OptCtx {
-            eval: IncrementalEval::new(tree, tech, model),
+            eval,
             rng: SmallRng::seed_from_u64(seed),
-            cancel: None,
-            _tree: PhantomData,
         }
     }
-}
 
-impl<'t> MultiOptCtx<'t> {
-    /// Builds the multi-corner context: one full evaluation pass per
-    /// corner over the same `tree`, scoring through `objective`.
-    pub fn new_multi(
-        tree: &'t mut SynthesizedTree,
-        corners: &'t CornerSet,
-        model: EvalModel,
-        objective: RobustObjective,
-        seed: u64,
-    ) -> Self {
-        OptCtx {
-            eval: MultiCornerEval::new(tree, corners, model).with_objective(objective),
-            rng: SmallRng::seed_from_u64(seed),
-            cancel: None,
-            _tree: PhantomData,
-        }
-    }
-}
-
-impl<'t, E: TrialEval> OptCtx<'t, E> {
     /// The resident evaluator (read-only).
-    pub fn eval(&self) -> &E {
+    pub fn eval(&self) -> &MultiCornerEval<'t> {
         &self.eval
     }
 
     /// The resident evaluator, for mutations.
-    pub fn eval_mut(&mut self) -> &mut E {
+    pub fn eval_mut(&mut self) -> &mut MultiCornerEval<'t> {
         &mut self.eval
     }
 
     /// The evaluator and the RNG together — for passes (like annealing)
     /// that interleave trial moves with random draws.
-    pub fn parts(&mut self) -> (&mut E, &mut SmallRng) {
+    pub fn parts(&mut self) -> (&mut MultiCornerEval<'t>, &mut SmallRng) {
         (&mut self.eval, &mut self.rng)
     }
 
@@ -201,17 +177,14 @@ impl<'t, E: TrialEval> OptCtx<'t, E> {
     }
 
     /// The run's cooperative cancellation token, if a
-    /// [`crate::resilience::RunBudget`] governs this schedule. Built-in
-    /// passes poll it inside their trial loops and charge each attempted
-    /// move to the trial budget; custom passes that ignore it are still
-    /// truncated at the next pass boundary.
+    /// [`crate::resilience::RunBudget`] governs this schedule (the one
+    /// attached to the evaluator, see [`MultiCornerEval::set_cancel`]).
+    /// Built-in passes poll it inside their trial loops and charge each
+    /// attempted move to the trial budget; once it trips the evaluator
+    /// rejects every further move, and custom passes that ignore it are
+    /// still truncated at the next pass boundary.
     pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Attaches (or clears) the cancellation token.
-    pub fn set_cancel(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
+        self.eval.cancel()
     }
 }
 
@@ -243,30 +216,17 @@ impl Default for PassStats {
 ///
 /// Implementations mutate the tree exclusively through
 /// [`OptCtx::eval_mut`] and leave the evaluator in a committed, legal
-/// state: an accepted move is [`IncrementalEval::commit`]ted, a rejected
+/// state: an accepted move is [`MultiCornerEval::commit`]ted, a rejected
 /// trial is undone through the journal. Passes must be deterministic
-/// given the context's RNG seed.
+/// given the context's RNG seed. Every pass runs over any corner set:
+/// trial moves fan out to all corners and scoring reads the evaluator's
+/// objective view.
 pub trait OptPass: Send + Sync {
     /// Stable identifier, used in reports and `opt:<name>` stage timings.
     fn name(&self) -> Cow<'static, str>;
 
     /// Executes the pass over the shared context.
     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats;
-
-    /// Executes the pass over a multi-corner context (every trial move
-    /// fans out to all corners; the objective view follows the context's
-    /// [`RobustObjective`]). All built-in passes support this by running
-    /// their generic trial loop over the [`TrialEval`] surface; the
-    /// default implementation panics so a custom single-corner pass
-    /// scheduled into a corner-aware pipeline fails loudly instead of
-    /// silently optimizing the wrong objective.
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let _ = ctx;
-        panic!(
-            "pass `{}` does not implement multi-corner execution (OptPass::run_multi)",
-            self.name()
-        );
-    }
 }
 
 /// One executed pass: its stats plus metrics either side and wall clock.
@@ -401,90 +361,43 @@ impl<'a> PassManager<'a> {
         PassManager { schedule }
     }
 
-    /// Runs every pass in order over a single resident evaluator built
-    /// from `tree`; accepted knobs are written through to the tree.
+    /// Runs every pass in order over one resident evaluator built from
+    /// `tree` over `corners` — [`CornerSet::nominal_only`] for a
+    /// single-technology run — with every trial move fanned out to all
+    /// corners and scored through `objective`. Accepted knobs are written
+    /// through to the tree. The report's before/after metrics are the
+    /// *nominal* corner's (so nominal and robust runs compare like for
+    /// like); cross-corner summaries come from
+    /// [`crate::mcmm::CornerReport::try_evaluate`] on the finished tree.
+    ///
+    /// With a `cancel` token (a run budget), the token is polled at every
+    /// pass boundary and inside the built-in passes' trial loops, and the
+    /// evaluator rejects every move once it trips. Cancellation truncates
+    /// the schedule — finished work is kept, the report is flagged
+    /// [`ScheduleReport::truncated`]. `None`, or a token that never trips,
+    /// is bit-identical to an unbudgeted run.
+    ///
+    /// Returns the typed [`CtsError::NoFeasiblePattern`] of the first
+    /// corner under which the tree is electrically infeasible (see
+    /// [`MultiCornerEval::new`]); the tree is then untouched.
     pub fn run(
         &self,
         tree: &mut SynthesizedTree,
-        tech: &Technology,
-        model: EvalModel,
-    ) -> ScheduleReport {
-        self.run_cancel(tree, tech, model, None)
-    }
-
-    /// [`PassManager::run`] under a run budget: the token is polled at
-    /// every pass boundary and inside the built-in passes' trial loops.
-    /// Cancellation truncates the schedule — finished work is kept, the
-    /// report is flagged [`ScheduleReport::truncated`]. `None` is
-    /// bit-identical to [`PassManager::run`].
-    pub fn run_cancel(
-        &self,
-        tree: &mut SynthesizedTree,
-        tech: &Technology,
-        model: EvalModel,
-        cancel: Option<&CancelToken>,
-    ) -> ScheduleReport {
-        let mut ctx = OptCtx::new(tree, tech, model, self.schedule.seed);
-        ctx.set_cancel(cancel.cloned());
-        self.run_on(&mut ctx)
-    }
-
-    /// Runs every pass in order over one resident **multi-corner**
-    /// evaluator (K per-corner states over the same tree), every trial
-    /// move fanned out to all corners and scored through `objective` —
-    /// the robust counterpart of [`PassManager::run`]. The report's
-    /// before/after metrics are the *nominal* corner's (so nominal and
-    /// robust runs compare like for like); cross-corner summaries come
-    /// from [`crate::mcmm::CornerReport::evaluate`] on the finished tree.
-    pub fn run_corners(
-        &self,
-        tree: &mut SynthesizedTree,
-        corners: &CornerSet,
-        model: EvalModel,
-        objective: RobustObjective,
-    ) -> ScheduleReport {
-        self.run_corners_cancel(tree, corners, model, objective, None)
-    }
-
-    /// [`PassManager::run_corners`] under a run budget — the multi-corner
-    /// counterpart of [`PassManager::run_cancel`]. The token additionally
-    /// reaches the evaluator's per-corner fan-out, so a deadline firing
-    /// mid-move rolls that move back in every corner before the schedule
-    /// truncates.
-    pub fn run_corners_cancel(
-        &self,
-        tree: &mut SynthesizedTree,
         corners: &CornerSet,
         model: EvalModel,
         objective: RobustObjective,
         cancel: Option<&CancelToken>,
-    ) -> ScheduleReport {
-        let mut ctx = OptCtx::new_multi(tree, corners, model, objective, self.schedule.seed);
-        ctx.eval_mut().set_cancel(cancel.cloned());
-        ctx.set_cancel(cancel.cloned());
-        self.run_multi_on(&mut ctx)
+    ) -> Result<ScheduleReport, CtsError> {
+        let mut eval = MultiCornerEval::new(tree, corners, model)?.with_objective(objective);
+        eval.set_cancel(cancel.cloned());
+        Ok(self.run_on(&mut OptCtx::new(eval, self.schedule.seed)))
     }
 
     /// Runs the schedule over an existing context (for drivers that keep
-    /// the evaluator resident across schedules).
+    /// the evaluator resident across schedules): reseed per pass, time
+    /// it, defensively commit, record the nominal corner's before/after
+    /// metrics.
     pub fn run_on(&self, ctx: &mut OptCtx<'_>) -> ScheduleReport {
-        self.execute(ctx, &|pass, ctx| pass.run(ctx))
-    }
-
-    /// Runs the schedule over an existing multi-corner context.
-    pub fn run_multi_on(&self, ctx: &mut MultiOptCtx<'_>) -> ScheduleReport {
-        self.execute(ctx, &|pass, ctx| pass.run_multi(ctx))
-    }
-
-    /// The schedule loop, shared by the single- and multi-corner entry
-    /// points: reseed per pass, time it, defensively commit, record
-    /// before/after metrics (the evaluator's [`TrialEval::metrics`] —
-    /// nominal-corner metrics for the MCMM evaluator).
-    fn execute<'t, E: TrialEval>(
-        &self,
-        ctx: &mut OptCtx<'t, E>,
-        invoke: &dyn Fn(&dyn OptPass, &mut OptCtx<'t, E>) -> PassStats,
-    ) -> ScheduleReport {
         let before = ctx.eval().metrics();
         let mut passes = Vec::with_capacity(self.schedule.passes.len());
         let mut entering = before.clone();
@@ -498,7 +411,7 @@ impl<'a> PassManager<'a> {
             }
             ctx.reseed(self.schedule.seed.wrapping_add(i as u64));
             let t0 = Instant::now();
-            let stats = invoke(pass.as_ref(), ctx);
+            let stats = pass.run(ctx);
             let seconds = t0.elapsed().as_secs_f64();
             // Per-pass telemetry reuses the report's wall clock (one
             // measurement, two consumers) and aggregates trial counts.
@@ -540,10 +453,15 @@ impl<'a> PassManager<'a> {
 /// passed in because the passes track them incrementally; use the
 /// [`TreeMetrics`] convention (`buffers` *includes* the root driver,
 /// i.e. `1 + inserted_buffers()`), so the value agrees exactly with
-/// [`moes_objective_of`] over the same state. Over a multi-corner
-/// evaluator with the worst-corner objective this weighs worst-corner
-/// latency and skew — the robust MOES the MCMM schedule minimizes.
-pub fn moes_objective<E: TrialEval>(w: &MoesWeights, eval: &E, buffers: i64, ntsvs: i64) -> f64 {
+/// [`moes_objective_of`] over the same state. Over a multi-corner set
+/// with the worst-corner objective this weighs worst-corner latency and
+/// skew — the robust MOES a corner-aware schedule minimizes.
+pub fn moes_objective(
+    w: &MoesWeights,
+    eval: &MultiCornerEval<'_>,
+    buffers: i64,
+    ntsvs: i64,
+) -> f64 {
     let (latency_ps, skew_ps) = eval.latency_skew_ps();
     w.weigh(latency_ps, buffers as f64, ntsvs as f64, skew_ps)
 }
@@ -609,7 +527,7 @@ impl Default for AnnealConfig {
 /// *last* buffer above each star and stops at its first fixed point, the
 /// annealer proposes uniform random (edge, scale) moves over **every**
 /// pattern buffer, escaping greedy's local optimum at equal resource
-/// bounds. [`IncrementalEval`] makes each trial O(depth + subtree); the
+/// bounds. The resident evaluator makes each trial O(depth + subtree); the
 /// undo journal is the reject path. The pass commits exactly when a new
 /// **best** configuration appears (bounding journal memory to the moves
 /// since the last improvement) and finishes by reverting to that best —
@@ -637,19 +555,20 @@ impl Default for AnnealedSizingPass {
     }
 }
 
-impl AnnealedSizingPass {
-    /// The annealing loop over any [`TrialEval`] — one implementation
-    /// shared by the single-corner and multi-corner executions, so the
-    /// robust anneal is the nominal anneal with a different objective
-    /// view (and per-corner fan-out inside each trial move). A cancelled
-    /// budget stops proposing moves; the pass still reverts to its best
-    /// accepted configuration, so truncation never corrupts the tree.
-    fn anneal<E: TrialEval>(
-        &self,
-        eval: &mut E,
-        rng: &mut SmallRng,
-        cancel: Option<&CancelToken>,
-    ) -> PassStats {
+impl OptPass for AnnealedSizingPass {
+    fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(Self::NAME)
+    }
+
+    /// The annealing loop. Over a corner set the robust anneal is the
+    /// nominal anneal with a different objective view (and per-corner
+    /// fan-out inside each trial move). A cancelled budget stops
+    /// proposing moves; the pass still reverts to its best accepted
+    /// configuration, so truncation never corrupts the tree.
+    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+        let cancel = ctx.cancel().cloned();
+        let cancel = cancel.as_ref();
+        let (eval, rng) = ctx.parts();
         let cfg = &self.cfg;
         assert!(
             !cfg.scales.is_empty() && cfg.scales.iter().all(|&s| s > 0.0),
@@ -753,24 +672,6 @@ impl AnnealedSizingPass {
     }
 }
 
-impl OptPass for AnnealedSizingPass {
-    fn name(&self) -> Cow<'static, str> {
-        Cow::Borrowed(Self::NAME)
-    }
-
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        let (eval, rng) = ctx.parts();
-        self.anneal(eval, rng, cancel.as_ref())
-    }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        let (eval, rng) = ctx.parts();
-        self.anneal(eval, rng, cancel.as_ref())
-    }
-}
-
 // --- Pattern local search ------------------------------------------------
 
 /// Configuration of [`PatternSearchPass`].
@@ -835,14 +736,20 @@ impl Default for PatternSearchPass {
     }
 }
 
-impl PatternSearchPass {
-    /// The hill-climbing sweep over any [`TrialEval`] — shared by the
-    /// single-corner and multi-corner executions (under a multi-corner
-    /// evaluator a swap must be feasible in *every* corner to be
-    /// proposed, and improvement is judged in the objective view). A
-    /// cancelled budget ends the sweep after the current edge; accepted
-    /// swaps are kept and the side gate still runs.
-    fn climb<E: TrialEval>(&self, eval: &mut E, cancel: Option<&CancelToken>) -> PassStats {
+impl OptPass for PatternSearchPass {
+    fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(Self::NAME)
+    }
+
+    /// The hill-climbing sweep. Over a corner set a swap must be feasible
+    /// in *every* corner to be proposed, and improvement is judged in the
+    /// objective view. A cancelled budget ends the sweep after the
+    /// current edge; accepted swaps are kept and the side gate still
+    /// runs.
+    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+        let cancel = ctx.cancel().cloned();
+        let cancel = cancel.as_ref();
+        let eval = ctx.eval_mut();
         let cfg = &self.cfg;
         let pass_mark = eval.mark();
         let alphabet = cfg.patterns.patterns();
@@ -913,29 +820,26 @@ impl PatternSearchPass {
     }
 }
 
-impl OptPass for PatternSearchPass {
-    fn name(&self) -> Cow<'static, str> {
-        Cow::Borrowed(Self::NAME)
-    }
-
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.climb(ctx.eval_mut(), cancel.as_ref())
-    }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.climb(ctx.eval_mut(), cancel.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig};
     use crate::route::HierarchicalRouter;
-    use crate::sizing::{resize_for_skew, SizingConfig, SizingPass};
+    use crate::sizing::{SizingConfig, SizingPass};
     use dscts_netlist::BenchmarkSpec;
+
+    /// Runs `schedule` over the single nominal corner of `tech`.
+    fn run(
+        schedule: &OptSchedule,
+        t: &mut SynthesizedTree,
+        tech: &Technology,
+        model: EvalModel,
+    ) -> ScheduleReport {
+        let corners = CornerSet::nominal_only(tech);
+        PassManager::new(schedule)
+            .run(t, &corners, model, RobustObjective::default(), None)
+            .expect("feasible at nominal")
+    }
 
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
@@ -960,7 +864,7 @@ mod tests {
         let (mut t, tech) = tree();
         let before = t.evaluate(&tech, EvalModel::Elmore);
         let schedule = OptSchedule::new();
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert!(rep.passes.is_empty());
         assert_eq!(rep.before, before);
         assert_eq!(rep.after, before);
@@ -973,7 +877,7 @@ mod tests {
         let schedule = OptSchedule::new()
             .with(SizingPass::new(SizingConfig::default()))
             .with(AnnealedSizingPass::default());
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert_eq!(rep.passes.len(), 2);
         assert_eq!(rep.before, rep.passes[0].before);
         assert_eq!(rep.passes[0].after, rep.passes[1].before);
@@ -993,7 +897,7 @@ mod tests {
             let schedule = OptSchedule::new()
                 .seed(seed)
                 .with(AnnealedSizingPass::default());
-            let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+            let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
             (t, rep)
         };
         let (t1, r1) = run_once(7);
@@ -1013,17 +917,17 @@ mod tests {
         // no star toggles, latency-greedy DP leaves skew on the table.
         let (base, tech) = tree();
         let mut greedy = base.clone();
-        let g = resize_for_skew(
+        let g = run(
+            &OptSchedule::new().with(SizingPass::new(SizingConfig::default())),
             &mut greedy,
             &tech,
             EvalModel::Elmore,
-            &SizingConfig::default(),
         );
         let mut annealed = base.clone();
         let schedule = OptSchedule::new()
             .seed(7)
             .with(AnnealedSizingPass::default());
-        let a = PassManager::new(&schedule).run(&mut annealed, &tech, EvalModel::Elmore);
+        let a = run(&schedule, &mut annealed, &tech, EvalModel::Elmore);
         assert_eq!(a.after.buffers, g.after.buffers, "equal resource bounds");
         assert_eq!(a.after.ntsvs, g.after.ntsvs);
         assert!(
@@ -1047,7 +951,7 @@ mod tests {
         };
         let w = cfg.weights;
         let schedule = OptSchedule::new().with(AnnealedSizingPass::new(cfg));
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Nldm);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Nldm);
         assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
         assert_eq!(t.validate_sides(), Ok(()));
     }
@@ -1058,13 +962,13 @@ mod tests {
         assert_eq!(t.validate_sides(), Ok(()));
         let cfg = PatternSearchConfig::default();
         let schedule = OptSchedule::new().with(PatternSearchPass::new(cfg));
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         let w = cfg.weights;
         assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
         assert_eq!(t.validate_sides(), Ok(()));
         // Hill climbing is deterministic: a second run from the result is
         // a fixed point.
-        let rep2 = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep2 = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert_eq!(rep2.passes[0].accepted, 0);
         assert_eq!(rep2.before, rep2.after);
     }
@@ -1074,7 +978,7 @@ mod tests {
         let (base, tech) = tree();
         let mut t = base.clone();
         let schedule = OptSchedule::new().with(PatternSearchPass::default());
-        let _ = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let _ = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         for (old, new) in base.patterns.iter().zip(&t.patterns).skip(1) {
             let (old, new) = (old.expect("assigned"), new.expect("assigned"));
             assert_eq!(old.root_side(), new.root_side());
@@ -1089,8 +993,7 @@ mod tests {
         // objective and once fanned out over SS/TT/FF with the
         // worst-corner objective. At equal resource bounds the robust run
         // must leave less skew in the worst corner.
-        use crate::mcmm::{CornerReport, RobustObjective};
-        use dscts_tech::CornerSet;
+        use crate::mcmm::CornerReport;
         let (base, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
         let schedule = OptSchedule::default_post_cts(SkewConfig::default())
@@ -1099,16 +1002,19 @@ mod tests {
         let mgr = PassManager::new(&schedule);
 
         let mut nominal = base.clone();
-        let _ = mgr.run(&mut nominal, &tech, EvalModel::Elmore);
+        let _ = run(&schedule, &mut nominal, &tech, EvalModel::Elmore);
         let rn = CornerReport::evaluate(&nominal, &corners, EvalModel::Elmore);
 
         let mut robust = base.clone();
-        let rep = mgr.run_corners(
-            &mut robust,
-            &corners,
-            EvalModel::Elmore,
-            RobustObjective::WorstCorner,
-        );
+        let rep = mgr
+            .run(
+                &mut robust,
+                &corners,
+                EvalModel::Elmore,
+                RobustObjective::WorstCorner,
+                None,
+            )
+            .expect("feasible in every corner");
         let rr = CornerReport::evaluate(&robust, &corners, EvalModel::Elmore);
 
         assert_eq!(
@@ -1130,28 +1036,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multi-corner")]
-    fn custom_pass_without_run_multi_panics_in_corner_mode() {
-        use crate::mcmm::RobustObjective;
-        use dscts_tech::CornerSet;
-        struct NominalOnlyPass;
-        impl OptPass for NominalOnlyPass {
+    fn custom_pass_runs_in_corner_mode() {
+        // One execution method: a custom pass written against the
+        // objective view runs unchanged over every corner, and its
+        // accepted moves are feasible in all of them.
+        struct MaxDrivePass;
+        impl OptPass for MaxDrivePass {
             fn name(&self) -> Cow<'static, str> {
-                Cow::Borrowed("nominal-only")
+                Cow::Borrowed("max-drive")
             }
-            fn run(&self, _ctx: &mut OptCtx<'_>) -> PassStats {
-                PassStats::default()
+            fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+                let eval = ctx.eval_mut();
+                let mut stats = PassStats::default();
+                for v in 1..eval.tree().topo.nodes.len() {
+                    if eval.tree().patterns[v].is_some_and(|p| p.buffers() > 0) {
+                        stats.attempted += 1;
+                        if eval.set_buffer_scale(v, 2.0) {
+                            stats.accepted += 1;
+                        }
+                    }
+                }
+                eval.commit();
+                stats
             }
         }
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let schedule = OptSchedule::new().with(NominalOnlyPass);
-        let _ = PassManager::new(&schedule).run_corners(
-            &mut t,
-            &corners,
-            EvalModel::Elmore,
-            RobustObjective::WorstCorner,
-        );
+        let schedule = OptSchedule::new().with(MaxDrivePass);
+        let rep = PassManager::new(&schedule)
+            .run(
+                &mut t,
+                &corners,
+                EvalModel::Elmore,
+                RobustObjective::WorstCorner,
+                None,
+            )
+            .expect("feasible in every corner");
+        assert!(rep.passes[0].accepted > 0);
+        for tech_k in corners.techs() {
+            assert!(t.try_evaluate(tech_k, EvalModel::Elmore).is_ok());
+        }
     }
 
     #[test]
@@ -1174,6 +1098,6 @@ mod tests {
             ..AnnealConfig::default()
         };
         let schedule = OptSchedule::new().with(AnnealedSizingPass::new(cfg));
-        let _ = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let _ = run(&schedule, &mut t, &tech, EvalModel::Elmore);
     }
 }

@@ -36,9 +36,9 @@
 //! Besides [`DsCts::run`]/[`DsCts::try_run`] (which execute the whole
 //! stage sequence), every stage can be **driven individually** —
 //! [`DsCts::route`], [`DsCts::insert`] / [`DsCts::insert_with_modes`],
-//! [`DsCts::optimize_tree`] (or the legacy [`DsCts::refine_tree`]),
-//! [`DsCts::evaluate_tree`] — so batch drivers can amortize shared work
-//! across configurations. The batched DSE engine
+//! [`DsCts::optimize_tree`], [`DsCts::evaluate_tree`] — so batch
+//! drivers can amortize shared work across configurations. The batched
+//! DSE engine
 //! ([`crate::dse::SweepEngine`]) routes a design once and then fans the
 //! insertion + optimization + evaluation tail out over mode-equivalence
 //! classes of the threshold sweep; the Table III regenerator shares one
@@ -54,7 +54,7 @@ use crate::opt::{OptSchedule, PassManager, ScheduleReport};
 use crate::pattern::{Mode, PatternSet};
 use crate::resilience::{fault, CancelToken, RecoveryPolicy, RecoveryStep, Relaxation, RunBudget};
 use crate::route::{HierarchicalRouter, RoutingStyle};
-use crate::skew::{refine, EndpointRefinePass, RefineReport, SkewConfig};
+use crate::skew::{EndpointRefinePass, RefineReport, SkewConfig};
 use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
 use crate::tree::ClockTopo;
 use dscts_netlist::Design;
@@ -345,39 +345,27 @@ fn insert_on_suffix(
 #[derive(Debug, Clone)]
 pub struct OptimizeStage {
     schedule: OptSchedule,
-    /// MCMM: fan every trial move out to these corners, scoring through
-    /// the objective (see [`DsCts::corners`]).
-    corners: Option<(Arc<CornerSet>, RobustObjective)>,
+    /// The corners every trial move fans out to — the pipeline's
+    /// [`DsCts::corners`], or its nominal technology alone — scored
+    /// through `objective`.
+    corners: Arc<CornerSet>,
+    objective: RobustObjective,
 }
 
 impl OptimizeStage {
-    /// A stage executing `schedule` over the single (nominal) corner.
-    pub fn new(schedule: OptSchedule) -> Self {
-        OptimizeStage {
-            schedule,
-            corners: None,
-        }
-    }
-
     /// A stage executing `schedule` over every corner of `corners`,
-    /// scored through `objective` (see
-    /// [`crate::opt::PassManager::run_corners`]).
-    pub fn new_corners(
-        schedule: OptSchedule,
-        corners: Arc<CornerSet>,
-        objective: RobustObjective,
-    ) -> Self {
+    /// scored through `objective` (see [`PassManager::run`]).
+    pub fn new(schedule: OptSchedule, corners: Arc<CornerSet>, objective: RobustObjective) -> Self {
         OptimizeStage {
             schedule,
-            corners: Some((corners, objective)),
+            corners,
+            objective,
         }
     }
 
-    /// Reconstructs the legacy [`RefineReport`] from a schedule run, when
-    /// the schedule included an [`EndpointRefinePass`]. The pass reports
-    /// the same trigger flag, added-buffer count and surrounding metrics
-    /// the free-standing [`refine`] computes, so the reconstruction is
-    /// exact for the default single-refine schedule. When a custom
+    /// Reconstructs the [`RefineReport`] from a schedule run, when the
+    /// schedule included an [`EndpointRefinePass`]: its trigger flag,
+    /// added-buffer count and surrounding metrics. When a custom
     /// schedule runs several refine passes, the **last** one is reported
     /// (the closest to the final tree); its `after` still predates any
     /// later non-refine passes. Matching is by pass name —
@@ -403,21 +391,18 @@ impl Stage for OptimizeStage {
     }
 
     fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        let eval = ctx.eval;
-        let tech = ctx.tech;
-        let cancel = ctx.cancel.clone();
         // invariant: the engine only runs optimize after insertion.
         let tree = ctx
             .tree
             .as_mut()
             .expect("insertion stage deposits the tree");
-        let manager = PassManager::new(&self.schedule);
-        let report = match &self.corners {
-            Some((corners, objective)) => {
-                manager.run_corners_cancel(tree, corners, eval, *objective, cancel.as_ref())
-            }
-            None => manager.run_cancel(tree, tech, eval, cancel.as_ref()),
-        };
+        let report = PassManager::new(&self.schedule).run(
+            tree,
+            &self.corners,
+            ctx.eval,
+            self.objective,
+            ctx.cancel.as_ref(),
+        )?;
         // A truncated schedule is the *degraded but valid* outcome the
         // budget promises: skip the rest, still evaluate, flag it.
         ctx.degraded |= report.truncated;
@@ -451,7 +436,7 @@ impl Stage for EvalStage {
             .expect("insertion stage deposits the tree");
         ctx.metrics = Some(tree.evaluate(ctx.tech, ctx.eval));
         if let Some(corners) = &self.corners {
-            ctx.corner_report = Some(CornerReport::evaluate(tree, corners, ctx.eval));
+            ctx.corner_report = Some(CornerReport::try_evaluate(tree, corners, ctx.eval)?);
         }
         Ok(())
     }
@@ -749,14 +734,13 @@ impl DsCts {
         insert_on_suffix(topo, &self.tech, &self.dp, modes, cancel, reuse)
     }
 
-    /// Runs only the legacy skew-refinement pass on a synthesized tree,
-    /// in place, ignoring any custom schedule. Returns `None` (doing
-    /// nothing) when refinement is disabled. Most staged drivers want
-    /// [`DsCts::optimize_tree`], which runs the configured schedule.
-    pub fn refine_tree(&self, tree: &mut SynthesizedTree) -> Option<RefineReport> {
-        self.skew
-            .as_ref()
-            .map(|cfg| refine(tree, &self.tech, self.eval, cfg))
+    /// The corners the optimize stage fans out to: the configured
+    /// [`DsCts::corners`], or this pipeline's technology alone. Built at
+    /// most once per optimize call, never per trial move.
+    fn optimize_corners(&self) -> Arc<CornerSet> {
+        self.corners
+            .clone()
+            .unwrap_or_else(|| Arc::new(CornerSet::nominal_only(&self.tech)))
     }
 
     /// Runs only the optimize stage on a synthesized tree, in place:
@@ -765,13 +749,15 @@ impl DsCts {
     /// composition with the other staged drivers is bit-identical to
     /// [`DsCts::run`]. Returns `None` (doing nothing) when no pass is
     /// scheduled, mirroring the optional [`OptimizeStage`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`CtsError`] display text when the tree is
+    /// electrically infeasible under one of the configured corners; use
+    /// [`DsCts::optimize_tree_cancel`] for the typed error.
     pub fn optimize_tree(&self, tree: &mut SynthesizedTree) -> Option<ScheduleReport> {
-        let schedule = self.effective_schedule()?;
-        let manager = PassManager::new(&schedule);
-        Some(match &self.corners {
-            Some(corners) => manager.run_corners(tree, corners, self.eval, self.robust),
-            None => manager.run(tree, &self.tech, self.eval),
-        })
+        self.optimize_tree_cancel(tree, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`DsCts::optimize_tree`] observing an external [`CancelToken`]:
@@ -782,19 +768,29 @@ impl DsCts {
     /// [`DsCts::optimize_tree`]. This is the checkpoint that lets sweep
     /// classes and service jobs degrade mid-optimization instead of
     /// overshooting their deadline by a whole schedule.
+    ///
+    /// A tree that is electrically infeasible under one of the configured
+    /// corners (a derated corner overloading a buffer the DP placed near
+    /// its nominal max load) is reported as the typed
+    /// [`CtsError::NoFeasiblePattern`] of the first offending corner,
+    /// with the tree untouched.
     pub fn optimize_tree_cancel(
         &self,
         tree: &mut SynthesizedTree,
         cancel: Option<&CancelToken>,
-    ) -> Option<ScheduleReport> {
-        let schedule = self.effective_schedule()?;
-        let manager = PassManager::new(&schedule);
-        Some(match &self.corners {
-            Some(corners) => {
-                manager.run_corners_cancel(tree, corners, self.eval, self.robust, cancel)
-            }
-            None => manager.run_cancel(tree, &self.tech, self.eval, cancel),
-        })
+    ) -> Result<Option<ScheduleReport>, CtsError> {
+        let Some(schedule) = self.effective_schedule() else {
+            return Ok(None);
+        };
+        PassManager::new(&schedule)
+            .run(
+                tree,
+                &self.optimize_corners(),
+                self.eval,
+                self.robust,
+                cancel,
+            )
+            .map(Some)
     }
 
     /// Runs only the evaluation stage: final metrics under the configured
@@ -825,12 +821,11 @@ impl DsCts {
             }),
         ];
         if let Some(schedule) = self.effective_schedule() {
-            stages.push(Box::new(match &self.corners {
-                Some(corners) => {
-                    OptimizeStage::new_corners(schedule, Arc::clone(corners), self.robust)
-                }
-                None => OptimizeStage::new(schedule),
-            }));
+            stages.push(Box::new(OptimizeStage::new(
+                schedule,
+                self.optimize_corners(),
+                self.robust,
+            )));
         }
         stages.push(Box::new(EvalStage {
             corners: self.corners.clone(),
@@ -1149,22 +1144,6 @@ mod tests {
         let whole_opt = whole.optimization.expect("default schedule ran");
         assert_eq!(whole_opt.before, optimization.before);
         assert_eq!(whole_opt.after, optimization.after);
-    }
-
-    #[test]
-    fn legacy_refine_tree_matches_default_schedule() {
-        // The pre-pass-API staged driver is a wrapper over the same
-        // arithmetic the default schedule runs: composing with it stays
-        // bit-identical to `run`, and Outcome::refinement reconstructs
-        // exactly what the free-standing refine() reports.
-        let d = BenchmarkSpec::c4_riscv32i().generate();
-        let pipe = DsCts::new(Technology::asap7());
-        let whole = pipe.run(&d);
-        let topo = pipe.route(&d).expect("routable");
-        let (mut tree, _dp) = pipe.insert(topo).expect("feasible");
-        let refinement = pipe.refine_tree(&mut tree);
-        assert_eq!(whole.tree, tree);
-        assert_eq!(whole.refinement, refinement);
     }
 
     #[test]

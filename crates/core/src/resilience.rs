@@ -297,8 +297,8 @@ impl RecoveryPolicy {
 ///
 /// Site names (also the `stage` carried by resulting errors):
 /// `"route"`, `"dp"`, `"synth"`, `"eval"` take `Error`/`Panic` faults;
-/// `"incremental"` and `"mcmm"` take `Infeasible` faults at the evaluator
-/// mutation/fan-out boundary, exercising journal rollback.
+/// `"trial"` takes `Infeasible` faults at the evaluator's trial-move
+/// boundary, exercising journal rollback.
 pub mod fault {
     /// Injection site inside [`HierarchicalRouter`](crate::HierarchicalRouter).
     pub const SITE_ROUTE: &str = "route";
@@ -308,12 +308,11 @@ pub mod fault {
     pub const SITE_SYNTH: &str = "synth";
     /// Injection site in the evaluation stage.
     pub const SITE_EVAL: &str = "eval";
-    /// Infeasibility site in [`IncrementalEval`](crate::IncrementalEval)
-    /// mutations (fires mid-mutation, after the knob is journaled).
-    pub const SITE_INCREMENTAL: &str = "incremental";
-    /// Infeasibility site in [`MultiCornerEval`](crate::MultiCornerEval)
-    /// corner fan-out.
-    pub const SITE_MCMM: &str = "mcmm";
+    /// Infeasibility site in every [`MultiCornerEval`](crate::MultiCornerEval)
+    /// trial move: fires after the corner fan-out succeeded, so the
+    /// rollback must revert fully repropagated dirty paths in every
+    /// corner, not just the knob.
+    pub const SITE_TRIAL: &str = "trial";
 
     /// What an armed site does when it fires.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -631,6 +630,6 @@ mod tests {
     #[test]
     fn fault_checks_are_noops_without_a_plan() {
         assert!(fault::fault_check(fault::SITE_ROUTE).is_ok());
-        assert!(!fault::fault_infeasible(fault::SITE_INCREMENTAL));
+        assert!(!fault::fault_infeasible(fault::SITE_TRIAL));
     }
 }

@@ -10,22 +10,19 @@
 //! cap) and upsizing slow ones — to shrink global skew without adding
 //! cells.
 //!
-//! Every trial move is scored through [`IncrementalEval`]: a scale change
-//! re-propagates O(depth + subtree) state instead of re-evaluating the
-//! whole tree, and a rejected trial is a journal rollback. Metrics remain
-//! bit-identical to the batch evaluator (see the `incremental` module
-//! invariants), so this is a pure speedup.
+//! Every trial move is scored through the resident
+//! [`crate::mcmm::MultiCornerEval`]: a scale change re-propagates
+//! O(depth + subtree) state instead of re-evaluating the whole tree, and
+//! a rejected trial is a journal rollback. Metrics remain bit-identical
+//! to the batch evaluator (see the `incremental` module invariants), so
+//! this is a pure speedup.
 //!
 //! The optimizer is packaged as [`SizingPass`] for the composable
-//! [`crate::opt`] schedule API; [`resize_for_skew`] remains as a thin,
-//! bit-identical wrapper that builds a fresh evaluator, runs the pass
-//! once, and reports before/after metrics.
+//! [`crate::opt`] schedule API; one-shot callers schedule it alone
+//! through [`crate::opt::PassManager::run`].
 
-use crate::incremental::{IncrementalEval, TrialEval};
-use crate::opt::{MultiOptCtx, OptCtx, OptPass, PassStats};
+use crate::opt::{OptCtx, OptPass, PassStats};
 use crate::resilience::CancelToken;
-use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_tech::Technology;
 use std::borrow::Cow;
 
 /// Configuration of the sizing pass.
@@ -37,8 +34,8 @@ pub struct SizingConfig {
     pub scales: Vec<f64>,
     /// Safety cap on greedy sweep rounds. Every accepted move strictly
     /// reduces skew, so the sweep terminates on its own (a round with no
-    /// accepted move is a fixed point and `resize_for_skew` is then
-    /// idempotent); the cap only bounds pathological inputs. The default
+    /// accepted move is a fixed point and the pass is then idempotent);
+    /// the cap only bounds pathological inputs. The default
     /// is high enough that real designs converge well before hitting it.
     pub max_rounds: usize,
 }
@@ -52,22 +49,11 @@ impl Default for SizingConfig {
     }
 }
 
-/// Outcome of [`resize_for_skew`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizingReport {
-    /// Buffers whose size changed.
-    pub resized: usize,
-    /// Metrics before sizing.
-    pub before: TreeMetrics,
-    /// Metrics after sizing.
-    pub after: TreeMetrics,
-}
-
 /// The greedy buffer-sizing optimizer as a composable [`OptPass`].
 ///
 /// Re-sizes the final buffer of each leaf path to balance sink arrivals;
-/// changes are kept only when they reduce skew without hurting latency.
-/// [`resize_for_skew`] wraps this pass for one-shot callers.
+/// changes are kept only when they reduce skew without hurting latency;
+/// the tree is otherwise left untouched.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SizingPass {
     /// The scale alphabet and round cap.
@@ -82,35 +68,27 @@ impl SizingPass {
     pub fn new(cfg: SizingConfig) -> Self {
         SizingPass { cfg }
     }
+}
 
-    /// Runs the greedy sweep over an existing evaluator — any
-    /// [`TrialEval`], so the same sweep sizes for nominal skew over an
-    /// [`IncrementalEval`] or for worst-corner skew over a
-    /// [`crate::mcmm::MultiCornerEval`]. This is the entire optimizer —
-    /// [`resize_for_skew`] and both [`OptPass`] execution paths delegate
-    /// here, so they cannot drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured scales are empty or non-positive.
-    pub fn run_on<E: TrialEval>(&self, eval: &mut E) -> PassStats {
-        self.run_on_cancel(eval, None)
+impl OptPass for SizingPass {
+    fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(Self::NAME)
     }
 
-    /// [`SizingPass::run_on`] under a run budget. The token is polled
-    /// between stars and each attempted scale is charged to the trial
-    /// budget; cancellation keeps every already-committed resize (accepted
-    /// moves commit per star, so truncation never corrupts the tree).
-    /// `None` is bit-identical to [`SizingPass::run_on`].
+    /// The greedy sweep over the objective view: nominal skew over a
+    /// single corner, worst-corner skew over a PVT set. The token is
+    /// polled between stars and each attempted scale is charged to the
+    /// trial budget; cancellation keeps every already-committed resize
+    /// (accepted moves commit per star, so truncation never corrupts the
+    /// tree).
     ///
     /// # Panics
     ///
     /// Panics if the configured scales are empty or non-positive.
-    pub fn run_on_cancel<E: TrialEval>(
-        &self,
-        eval: &mut E,
-        cancel: Option<&CancelToken>,
-    ) -> PassStats {
+    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+        let cancel = ctx.cancel().cloned();
+        let cancel = cancel.as_ref();
+        let eval = ctx.eval_mut();
         let cfg = &self.cfg;
         assert!(
             !cfg.scales.is_empty() && cfg.scales.iter().all(|&s| s > 0.0),
@@ -190,55 +168,32 @@ impl SizingPass {
     }
 }
 
-impl OptPass for SizingPass {
-    fn name(&self) -> Cow<'static, str> {
-        Cow::Borrowed(Self::NAME)
-    }
-
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-}
-
-/// Greedily re-sizes the final buffer of each leaf path to balance sink
-/// arrivals. Changes are kept only when they reduce skew without hurting
-/// latency; the tree is otherwise left untouched.
-///
-/// Thin wrapper over [`SizingPass::run_on`] — bit-identical to scheduling
-/// a [`SizingPass`] through the [`crate::opt::PassManager`].
-///
-/// # Panics
-///
-/// Panics if `cfg.scales` is empty or contains non-positive values.
-pub fn resize_for_skew(
-    tree: &mut SynthesizedTree,
-    tech: &Technology,
-    model: EvalModel,
-    cfg: &SizingConfig,
-) -> SizingReport {
-    let mut eval = IncrementalEval::new(tree, tech, model);
-    let before = eval.metrics();
-    let stats = SizingPass::new(cfg.clone()).run_on(&mut eval);
-    let after = eval.metrics();
-    SizingReport {
-        resized: stats.accepted,
-        before,
-        after,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::mcmm::RobustObjective;
+    use crate::opt::{OptSchedule, PassManager, PassReport};
     use crate::route::HierarchicalRouter;
+    use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
+    use dscts_tech::{CornerSet, Technology};
+
+    /// Runs one sizing pass over the nominal corner of `tech`.
+    fn size(t: &mut SynthesizedTree, tech: &Technology, cfg: SizingConfig) -> PassReport {
+        let schedule = OptSchedule::new().with(SizingPass::new(cfg));
+        let corners = CornerSet::nominal_only(tech);
+        let mut rep = PassManager::new(&schedule)
+            .run(
+                t,
+                &corners,
+                EvalModel::Elmore,
+                RobustObjective::default(),
+                None,
+            )
+            .expect("feasible at nominal");
+        rep.passes.remove(0)
+    }
 
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
@@ -261,7 +216,7 @@ mod tests {
     #[test]
     fn sizing_reduces_skew_without_latency_loss() {
         let (mut t, tech) = tree();
-        let report = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
+        let report = size(&mut t, &tech, SizingConfig::default());
         assert!(report.after.skew_ps <= report.before.skew_ps + 1e-9);
         assert!(report.after.latency_ps <= report.before.latency_ps + 1e-9);
         // Cell count is untouched: sizing only changes strengths.
@@ -272,9 +227,9 @@ mod tests {
     #[test]
     fn sizing_is_idempotent_at_fixed_point() {
         let (mut t, tech) = tree();
-        let _ = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-        let second = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-        assert_eq!(second.resized, 0);
+        let _ = size(&mut t, &tech, SizingConfig::default());
+        let second = size(&mut t, &tech, SizingConfig::default());
+        assert_eq!(second.accepted, 0);
         assert_eq!(second.before, second.after);
     }
 
@@ -282,11 +237,10 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_empty_scales() {
         let (mut t, tech) = tree();
-        let _ = resize_for_skew(
+        let _ = size(
             &mut t,
             &tech,
-            EvalModel::Elmore,
-            &SizingConfig {
+            SizingConfig {
                 scales: vec![],
                 max_rounds: 1,
             },

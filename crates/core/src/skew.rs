@@ -17,13 +17,12 @@
 //!
 //! The optimizer is packaged as [`EndpointRefinePass`] for the composable
 //! [`crate::opt`] schedule API — the default pipeline schedule is exactly
-//! this one pass — with [`refine`] kept as a thin, bit-identical wrapper.
+//! this one pass, and [`crate::Outcome::refinement`] reports it as a
+//! [`RefineReport`].
 
-use crate::incremental::{IncrementalEval, TrialEval};
-use crate::opt::{MultiOptCtx, OptCtx, OptPass, PassStats};
+use crate::opt::{OptCtx, OptPass, PassStats};
 use crate::resilience::CancelToken;
-use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_tech::Technology;
+use crate::synth::TreeMetrics;
 use std::borrow::Cow;
 
 /// Configuration of the refinement step.
@@ -49,7 +48,8 @@ impl Default for SkewConfig {
     }
 }
 
-/// What the refinement did.
+/// What the refinement did: the pipeline's view of its
+/// [`EndpointRefinePass`] run ([`crate::Outcome::refinement`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefineReport {
     /// Whether the trigger condition held and refinement ran.
@@ -91,9 +91,17 @@ pub fn endpoint_budget(n_sinks: usize, max_endpoints: usize) -> usize {
 /// The §III-D end-point refinement optimizer as a composable [`OptPass`].
 ///
 /// This is the default pipeline's whole optimization schedule (see
-/// [`crate::opt::OptSchedule::default_post_cts`]); [`refine`] wraps it
-/// for one-shot callers. [`PassStats::triggered`] reports whether the
-/// skew-over-latency trigger condition held.
+/// [`crate::opt::OptSchedule::default_post_cts`]).
+/// [`PassStats::triggered`] reports whether the skew-over-latency
+/// trigger condition held.
+///
+/// A centroid is only padded when (a) it does not already carry a
+/// refinement buffer and (b) the added buffer delay will not push its
+/// sinks beyond the current maximum arrival (the *resource-aware* guard
+/// that keeps latency flat in Fig. 11). Each candidate buffer is applied
+/// through the resident evaluator, so a round costs
+/// O(endpoints × (depth + subtree)) instead of a full tree evaluation
+/// per round, and a rejected round is a journal rollback.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EndpointRefinePass {
     /// Trigger, budget and round cap.
@@ -111,29 +119,25 @@ impl EndpointRefinePass {
     pub fn new(cfg: SkewConfig) -> Self {
         EndpointRefinePass { cfg }
     }
+}
 
-    /// Runs the refinement rounds over an existing evaluator — any
-    /// [`TrialEval`], so the same rounds pad nominal end-points over an
-    /// [`IncrementalEval`] or worst-corner end-points over a
-    /// [`crate::mcmm::MultiCornerEval`] (trigger, ranking and the
-    /// accept/rollback guard all read the objective view). This is the
-    /// entire optimizer — [`refine`] and both [`OptPass`] execution
-    /// paths delegate here, so they cannot drift.
-    pub fn run_on<E: TrialEval>(&self, eval: &mut E) -> PassStats {
-        self.run_on_cancel(eval, None)
+impl OptPass for EndpointRefinePass {
+    fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(Self::NAME)
     }
 
-    /// [`EndpointRefinePass::run_on`] under a run budget. The token is
-    /// polled between padded end-points and each attempted pad is charged
-    /// to the trial budget; cancellation ends the current round early (the
-    /// round's accept-or-rollback guard still runs, so the tree is left in
-    /// a committed, skew-improving state). `None` is bit-identical to
-    /// [`EndpointRefinePass::run_on`].
-    pub fn run_on_cancel<E: TrialEval>(
-        &self,
-        eval: &mut E,
-        cancel: Option<&CancelToken>,
-    ) -> PassStats {
+    /// The refinement rounds over the objective view: nominal end-points
+    /// over a single corner, worst-corner end-points over a PVT set
+    /// (trigger, ranking and the accept/rollback guard all read the
+    /// view). The token is polled between padded end-points and each
+    /// attempted pad is charged to the trial budget; cancellation ends
+    /// the current round early (the round's accept-or-rollback guard
+    /// still runs, so the tree is left in a committed, skew-improving
+    /// state).
+    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+        let cancel = ctx.cancel().cloned();
+        let cancel = cancel.as_ref();
+        let eval = ctx.eval_mut();
         let cfg = &self.cfg;
         let n_sinks = eval.tree().topo.sink_pos.len();
         let budget_per_round = endpoint_budget(n_sinks, cfg.max_endpoints);
@@ -204,62 +208,39 @@ impl EndpointRefinePass {
     }
 }
 
-impl OptPass for EndpointRefinePass {
-    fn name(&self) -> Cow<'static, str> {
-        Cow::Borrowed(Self::NAME)
-    }
-
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-}
-
-/// Runs skew refinement in place, adding end-point buffers at low-level
-/// centroids. Returns a [`RefineReport`].
-///
-/// A centroid is only padded when (a) it does not already carry a
-/// refinement buffer and (b) the added buffer delay will not push its
-/// sinks beyond the current maximum arrival (the *resource-aware* guard
-/// that keeps latency flat in Fig. 11).
-///
-/// Each candidate buffer is applied through [`IncrementalEval`], so a
-/// round costs O(endpoints × (depth + subtree)) instead of a full tree
-/// evaluation per round, and a rejected round is a journal rollback.
-///
-/// Thin wrapper over [`EndpointRefinePass::run_on`] — bit-identical to
-/// scheduling an [`EndpointRefinePass`] through the
-/// [`crate::opt::PassManager`].
-pub fn refine(
-    tree: &mut SynthesizedTree,
-    tech: &Technology,
-    model: EvalModel,
-    cfg: &SkewConfig,
-) -> RefineReport {
-    let mut eval = IncrementalEval::new(tree, tech, model);
-    let before = eval.metrics();
-    let stats = EndpointRefinePass::new(*cfg).run_on(&mut eval);
-    let after = eval.metrics();
-    RefineReport {
-        triggered: stats.triggered,
-        buffers_added: stats.accepted,
-        before,
-        after,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::mcmm::RobustObjective;
+    use crate::opt::{OptSchedule, PassManager};
     use crate::route::HierarchicalRouter;
-    use crate::synth::SynthesizedTree;
+    use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
+    use dscts_tech::{CornerSet, Technology};
+
+    /// Runs one refinement pass over the nominal corner of `tech`, in
+    /// the [`RefineReport`] shape the pipeline reports.
+    fn refine(tree: &mut SynthesizedTree, tech: &Technology, cfg: SkewConfig) -> RefineReport {
+        let schedule = OptSchedule::new().with(EndpointRefinePass::new(cfg));
+        let corners = CornerSet::nominal_only(tech);
+        let rep = PassManager::new(&schedule)
+            .run(
+                tree,
+                &corners,
+                EvalModel::Elmore,
+                RobustObjective::default(),
+                None,
+            )
+            .expect("feasible at nominal");
+        let pass = &rep.passes[0];
+        RefineReport {
+            triggered: pass.triggered,
+            buffers_added: pass.accepted,
+            before: pass.before.clone(),
+            after: pass.after.clone(),
+        }
+    }
 
     #[test]
     fn scale_factor_matches_fig8() {
@@ -310,8 +291,7 @@ mod tests {
         let report = refine(
             &mut tree,
             &tech,
-            EvalModel::Elmore,
-            &SkewConfig {
+            SkewConfig {
                 trigger_percent: 0.0, // force the pass for the test
                 ..SkewConfig::default()
             },
@@ -338,8 +318,7 @@ mod tests {
         let report = refine(
             &mut tree,
             &tech,
-            EvalModel::Elmore,
-            &SkewConfig {
+            SkewConfig {
                 trigger_percent: 1_000.0, // never triggers
                 ..SkewConfig::default()
             },

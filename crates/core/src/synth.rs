@@ -367,7 +367,7 @@ impl SynthesizedTree {
 
 /// Per-star load capacitance: branch wire plus sink pins, in sink order.
 /// Shared by [`SynthesizedTree::evaluate`] and
-/// [`crate::incremental::IncrementalEval`] so both sum in the same order
+/// the resident per-corner evaluation state so both sum in the same order
 /// (bit-identical floats).
 pub(crate) fn star_loads(topo: &ClockTopo, tech: &Technology) -> Vec<f64> {
     let rc_front = tech.rc(Side::Front);

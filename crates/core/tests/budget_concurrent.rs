@@ -105,13 +105,15 @@ fn mcmm_fanout_under_concurrent_load_truncates_typed() {
                 scope.spawn(move || {
                     let token = RunBudget::new().with_max_trials(1).token();
                     token.record_trial(); // trip it before the fan-out
-                    let report = PassManager::new(schedule).run_corners_cancel(
-                        &mut tree,
-                        corners,
-                        EvalModel::Elmore,
-                        RobustObjective::default(),
-                        Some(&token),
-                    );
+                    let report = PassManager::new(schedule)
+                        .run(
+                            &mut tree,
+                            corners,
+                            EvalModel::Elmore,
+                            RobustObjective::default(),
+                            Some(&token),
+                        )
+                        .expect("feasible in every corner");
                     (tree, report)
                 })
             })
@@ -150,12 +152,15 @@ fn mcmm_fanout_concurrent_untripped_matches_plain() {
     let schedule = base.effective_schedule().expect("annealed schedule");
 
     let mut plain_tree = tree.clone();
-    let plain_report = PassManager::new(&schedule).run_corners(
-        &mut plain_tree,
-        &corners,
-        EvalModel::Elmore,
-        RobustObjective::default(),
-    );
+    let plain_report = PassManager::new(&schedule)
+        .run(
+            &mut plain_tree,
+            &corners,
+            EvalModel::Elmore,
+            RobustObjective::default(),
+            None,
+        )
+        .expect("feasible in every corner");
     let reference = plain_tree.evaluate(&tech, EvalModel::Elmore);
 
     std::thread::scope(|scope| {
@@ -170,13 +175,15 @@ fn mcmm_fanout_concurrent_untripped_matches_plain() {
                 let token = RunBudget::new()
                     .with_deadline(Duration::from_secs(3600))
                     .token();
-                let report = PassManager::new(schedule).run_corners_cancel(
-                    &mut tree,
-                    corners,
-                    EvalModel::Elmore,
-                    RobustObjective::default(),
-                    Some(&token),
-                );
+                let report = PassManager::new(schedule)
+                    .run(
+                        &mut tree,
+                        corners,
+                        EvalModel::Elmore,
+                        RobustObjective::default(),
+                        Some(&token),
+                    )
+                    .expect("feasible in every corner");
                 assert!(!report.truncated);
                 assert_eq!(report.after, plain_report.after);
                 assert_eq!(&tree.evaluate(tech, EvalModel::Elmore), reference);

@@ -11,11 +11,11 @@
 #![cfg(feature = "fault-inject")]
 
 use dscts_core::resilience::fault::{
-    FaultKind, FaultPlan, SITE_DP, SITE_EVAL, SITE_INCREMENTAL, SITE_MCMM, SITE_ROUTE, SITE_SYNTH,
+    FaultKind, FaultPlan, SITE_DP, SITE_EVAL, SITE_ROUTE, SITE_SYNTH, SITE_TRIAL,
 };
 use dscts_core::{
-    run_dp, CtsError, DpConfig, DsCts, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights,
-    MultiCornerEval, Pattern, SynthesizedTree, TreeMetrics,
+    run_dp, CtsError, DpConfig, DsCts, EvalModel, HierarchicalRouter, MoesWeights, MultiCornerEval,
+    Pattern, SynthesizedTree, TreeMetrics,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
@@ -116,14 +116,15 @@ fn arms_fire_once_then_disarm() {
 
 #[test]
 fn arm_after_skips_a_deterministic_number_of_visits() {
-    // `arm_after(_, _, k)` lets exactly k visits pass. The incremental
-    // site is visited once per mutation, so skips=1 means: first
+    // `arm_after(_, _, k)` lets exactly k visits pass. The trial site
+    // is visited once per feasible mutation, so skips=1 means: first
     // mutation clean, second rejected, third clean again (disarmed).
     let (mut t, tech) = tree();
     let edge = buffered_edge(&t);
-    let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
+    let corners = CornerSet::nominal_only(&tech);
+    let mut inc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
     let _guard = FaultPlan::new()
-        .arm_after(SITE_INCREMENTAL, FaultKind::Infeasible, 1)
+        .arm_after(SITE_TRIAL, FaultKind::Infeasible, 1)
         .install();
     assert!(inc.set_buffer_scale(edge, 2.0), "visit 0 passes");
     assert!(!inc.set_buffer_scale(edge, 1.5), "visit 1 fires");
@@ -168,12 +169,13 @@ proptest! {
         let (mut t, tech) = tree();
         let ops = resolve(&t, &raw);
         let baseline = t.evaluate(&tech, EvalModel::Elmore);
-        let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
+        let corners = CornerSet::nominal_only(&tech);
+        let mut inc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         for op in ops {
             let before: TreeMetrics = inc.metrics();
             let mark = inc.mark();
             let _guard = FaultPlan::new()
-                .arm(SITE_INCREMENTAL, FaultKind::Infeasible)
+                .arm(SITE_TRIAL, FaultKind::Infeasible)
                 .install();
             // The fault fires *after* the repropagation succeeded, so a
             // fully-propagated dirty path must be unwound.
@@ -201,14 +203,16 @@ proptest! {
         let (mut t, tech) = tree();
         let ops = resolve(&t, &raw);
         let corners = CornerSet::asap7_pvt(&tech);
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
         for op in ops {
             let mark = mc.mark();
+            // Fires after all three corners repropagated: every corner's
+            // dirty path must be unwound.
             let _guard = FaultPlan::new()
-                .arm(SITE_MCMM, FaultKind::Infeasible)
+                .arm(SITE_TRIAL, FaultKind::Infeasible)
                 .install();
             let ok = match op {
                 Mutation::Scale(edge, s) => mc.set_buffer_scale(edge, s),

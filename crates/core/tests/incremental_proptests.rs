@@ -1,5 +1,6 @@
-//! Property tests: [`IncrementalEval`] is bit-identical to the batch
-//! evaluator under arbitrary interleaved mutations and undos.
+//! Property tests: the resident [`MultiCornerEval`] at K = 1 (a single
+//! nominal corner, the single-technology evaluator) is bit-identical to
+//! the batch evaluator under arbitrary interleaved mutations and undos.
 //!
 //! Random small designs are routed and DP-assigned; a random sequence of
 //! buffer-scale / star-buffer / pattern mutations (some undone, some
@@ -8,13 +9,14 @@
 //! `f64`s, via `TreeMetrics: PartialEq` — a from-scratch
 //! `SynthesizedTree::evaluate` of the mutated tree, for both delay models.
 
-use dscts_core::sizing::{resize_for_skew, SizingConfig};
+use dscts_core::opt::{OptSchedule, PassManager};
+use dscts_core::sizing::{SizingConfig, SizingPass};
 use dscts_core::{
-    run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
-    SynthesizedTree,
+    run_dp, DpConfig, EvalModel, HierarchicalRouter, MoesWeights, MultiCornerEval, Pattern,
+    RobustObjective, SynthesizedTree,
 };
 use dscts_netlist::BenchmarkSpec;
-use dscts_tech::Technology;
+use dscts_tech::{CornerSet, Technology};
 use proptest::prelude::*;
 
 /// A small random design: C4 geometry scaled down, varied by seed.
@@ -82,7 +84,8 @@ fn apply_ops(tree: &mut SynthesizedTree, tech: &Technology, model: EvalModel, op
     // constraints intact while still changing the electrical shape.
     const FF_PATTERNS: [Pattern; 3] = [Pattern::Buffer, Pattern::WiringF, Pattern::Ntsv1];
 
-    let mut eval = IncrementalEval::new(tree, tech, model);
+    let corners = CornerSet::nominal_only(tech);
+    let mut eval = MultiCornerEval::new(tree, &corners, model).expect("feasible at nominal");
     for &op in ops {
         match op {
             Op::Scale(i, s) if !buffered.is_empty() => {
@@ -107,10 +110,14 @@ fn apply_ops(tree: &mut SynthesizedTree, tech: &Technology, model: EvalModel, op
             Op::Undo => eval.undo(),
             Op::Commit => eval.commit(),
         }
-        // The evaluator's cheap queries agree with its own metrics.
+        // The evaluator's cheap queries agree with its own metrics: the
+        // objective view, the one corner's view and the worst-corner fold
+        // are the same numbers at K = 1.
         let m = eval.metrics();
-        assert_eq!(eval.latency_ps(), m.latency_ps);
-        assert_eq!(eval.skew_ps(), m.skew_ps);
+        assert_eq!(eval.latency_skew_ps(), (m.latency_ps, m.skew_ps));
+        assert_eq!(eval.corner_latency_skew_ps(0), (m.latency_ps, m.skew_ps));
+        assert_eq!(eval.worst_latency_skew_ps(), (m.latency_ps, m.skew_ps));
+        assert_eq!(eval.robust_metrics().arrival_spread_ps, 0.0);
     }
     let incremental = eval.metrics();
     drop(eval);
@@ -151,7 +158,16 @@ proptest! {
         // evaluation of its output tree reports.
         for model in [EvalModel::Elmore, EvalModel::Nldm] {
             let (mut tree, tech) = small_tree(sinks, seed);
-            let report = resize_for_skew(&mut tree, &tech, model, &SizingConfig::default());
+            let schedule = OptSchedule::new().with(SizingPass::new(SizingConfig::default()));
+            let report = PassManager::new(&schedule)
+                .run(
+                    &mut tree,
+                    &CornerSet::nominal_only(&tech),
+                    model,
+                    RobustObjective::default(),
+                    None,
+                )
+                .expect("feasible at nominal");
             let batch = tree.evaluate(&tech, model);
             prop_assert_eq!(&report.after, &batch);
             prop_assert!(report.after.skew_ps <= report.before.skew_ps + 1e-9);

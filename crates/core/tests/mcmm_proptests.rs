@@ -1,18 +1,17 @@
 //! Property tests for the MCMM subsystem:
 //!
-//! * a [`MultiCornerEval`] holding a **single identity corner** is
-//!   bit-identical to [`IncrementalEval`] under arbitrary interleaved
-//!   mutations and undos, for both delay models — mutation return
-//!   values, per-step metrics, and the final written-through tree all
-//!   agree as exact `f64`s;
+//! * the **corner-parallel fan-out** is bit-identical to the serial one
+//!   at any thread count — mutation return values, per-step per-corner
+//!   metrics and the written-through tree — and every corner's resident
+//!   state equals a batch evaluation under that corner's technology
+//!   (the single-corner case is `incremental_proptests`);
 //! * **monotonicity**: a uniformly slower corner (every derate ≥ 1)
 //!   never reports lower latency than the nominal corner, at any point
 //!   of a mutation sequence.
 
 use dscts_core::mcmm::MultiCornerEval;
 use dscts_core::{
-    run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
-    SynthesizedTree,
+    run_dp, DpConfig, EvalModel, HierarchicalRouter, MoesWeights, Pattern, SynthesizedTree,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{Corner, CornerSet, DerateFactors, Technology, WireDerate};
@@ -73,69 +72,6 @@ fn op() -> impl Strategy<Value = Op> {
 
 const FF_PATTERNS: [Pattern; 3] = [Pattern::Buffer, Pattern::WiringF, Pattern::Ntsv1];
 
-/// Applies `ops` in lockstep to an [`IncrementalEval`] and a
-/// single-identity-corner [`MultiCornerEval`] over clones of the same
-/// tree, asserting bit-identity at every step.
-fn lockstep(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, ops: &[Op]) {
-    let corners = CornerSet::nominal_only(tech);
-    let buffered: Vec<usize> = (1..tree.topo.nodes.len())
-        .filter(|&i| tree.patterns[i].is_some_and(|p| p.buffers() > 0))
-        .collect();
-    let n_edges = tree.topo.nodes.len() - 1;
-    let n_stars = tree.topo.stars.len();
-
-    let mut t_inc = tree.clone();
-    let mut t_mc = tree.clone();
-    let mut inc = IncrementalEval::new(&mut t_inc, tech, model);
-    let mut mc = MultiCornerEval::new(&mut t_mc, &corners, model);
-    for &op in ops {
-        match op {
-            Op::Scale(i, s) if !buffered.is_empty() => {
-                let edge = buffered[i % buffered.len()];
-                assert_eq!(inc.set_buffer_scale(edge, s), mc.set_buffer_scale(edge, s));
-            }
-            Op::Scale(..) => {}
-            Op::StarBuffer(i, on) => {
-                assert_eq!(
-                    inc.set_star_buffer(i % n_stars, on),
-                    mc.set_star_buffer(i % n_stars, on)
-                );
-            }
-            Op::Pattern(i, k) => {
-                let edge = 1 + (i % n_edges);
-                let cur = inc.tree().patterns[edge].expect("assigned");
-                if cur.root_side() == dscts_tech::Side::Front
-                    && cur.sink_side() == dscts_tech::Side::Front
-                {
-                    let p = FF_PATTERNS[k % FF_PATTERNS.len()];
-                    assert_eq!(inc.set_pattern(edge, p), mc.set_pattern(edge, p));
-                }
-            }
-            Op::Undo => {
-                inc.undo();
-                mc.undo();
-            }
-            Op::Commit => {
-                inc.commit();
-                mc.commit();
-            }
-        }
-        // Bit-identical state after every step.
-        assert_eq!(inc.metrics(), mc.corner_metrics(0));
-        assert_eq!(inc.latency_skew_ps(), mc.corner_latency_skew_ps(0));
-        assert_eq!(inc.latency_skew_ps(), mc.worst_latency_skew_ps());
-        let r = mc.robust_metrics();
-        assert_eq!(r.arrival_spread_ps, 0.0, "one corner has no spread");
-    }
-    let inc_final = inc.metrics();
-    drop(inc);
-    drop(mc);
-    // Both evaluators wrote identical knobs through to their trees, and
-    // the written-through trees batch-evaluate to the same metrics.
-    assert_eq!(t_inc, t_mc);
-    assert_eq!(t_mc.evaluate(tech, model), inc_final);
-}
-
 /// Applies `ops` through a two-corner evaluator (identity + uniformly
 /// slower), asserting the slow corner never reports lower latency.
 fn monotone(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, slow: f64, ops: &[Op]) {
@@ -169,7 +105,7 @@ fn monotone(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, slow: f
     let n_stars = tree.topo.stars.len();
 
     let mut t = tree.clone();
-    let mut mc = MultiCornerEval::new(&mut t, &corners, model);
+    let mut mc = MultiCornerEval::new(&mut t, &corners, model).expect("feasible");
     let check = |mc: &MultiCornerEval<'_>| {
         let (nom_lat, _) = mc.corner_latency_skew_ps(0);
         let (slow_lat, _) = mc.corner_latency_skew_ps(1);
@@ -233,7 +169,9 @@ fn scripted(
     let n_edges = tree.topo.nodes.len() - 1;
     let n_stars = tree.topo.stars.len();
     let mut t = tree.clone();
-    let mut mc = MultiCornerEval::new(&mut t, corners, model).with_parallel(parallel);
+    let mut mc = MultiCornerEval::new(&mut t, corners, model)
+        .expect("feasible")
+        .with_parallel(parallel);
     let mut rets = Vec::new();
     let mut steps = Vec::new();
     for &op in ops {
@@ -261,7 +199,15 @@ fn scripted(
                 .collect(),
         );
     }
+    let resident: Vec<_> = (0..mc.corner_count())
+        .map(|k| mc.corner_metrics(k))
+        .collect();
     drop(mc);
+    // Every corner's resident state is the batch evaluation under its
+    // technology of the written-through tree.
+    for (k, m) in resident.iter().enumerate() {
+        assert_eq!(&t.evaluate(corners.tech(k), model), m, "corner {k}");
+    }
     (rets, steps, t)
 }
 
@@ -295,26 +241,6 @@ proptest! {
             prop_assert_eq!(&serial.1, &par.1, "per-corner trajectories differ at {} threads", threads);
             prop_assert_eq!(&serial.2, &par.2, "written-through trees differ at {} threads", threads);
         }
-    }
-
-    #[test]
-    fn single_nominal_corner_matches_incremental_elmore(
-        sinks in 60usize..200,
-        seed in 0u64..1_000,
-        ops in prop::collection::vec(op(), 1..30),
-    ) {
-        let (tree, tech) = small_tree(sinks, seed);
-        lockstep(&tree, &tech, EvalModel::Elmore, &ops);
-    }
-
-    #[test]
-    fn single_nominal_corner_matches_incremental_nldm(
-        sinks in 60usize..200,
-        seed in 0u64..1_000,
-        ops in prop::collection::vec(op(), 1..30),
-    ) {
-        let (tree, tech) = small_tree(sinks, seed);
-        lockstep(&tree, &tech, EvalModel::Nldm, &ops);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! * **Schedule equivalence.** A `PassManager` schedule of
 //!   `SizingPass + EndpointRefinePass` over one shared evaluator is
-//!   bit-identical — trees *and* metrics, as `f64`s — to the legacy
-//!   `resize_for_skew` followed by `refine` chain (each of which builds
-//!   its own evaluator). Checked on random small designs under both
+//!   bit-identical — trees *and* metrics, as `f64`s — to the same two
+//!   passes run as two one-pass schedules (each of which builds its own
+//!   evaluator). Checked on random small designs under both
 //!   [`EvalModel`]s.
 //! * **Annealing discipline.** `AnnealedSizingPass` is deterministic per
 //!   seed, never degrades the MOES objective it anneals on (it reverts to
@@ -14,13 +14,15 @@
 //!   resource counts.
 
 use dscts_core::opt::{
-    moes_objective_of, AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager,
+    moes_objective_of, AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager, ScheduleReport,
 };
-use dscts_core::sizing::{resize_for_skew, SizingConfig, SizingPass};
-use dscts_core::skew::{refine, EndpointRefinePass, SkewConfig};
-use dscts_core::{run_dp, DpConfig, EvalModel, HierarchicalRouter, MoesWeights, SynthesizedTree};
+use dscts_core::sizing::{SizingConfig, SizingPass};
+use dscts_core::skew::{EndpointRefinePass, SkewConfig};
+use dscts_core::{
+    run_dp, DpConfig, EvalModel, HierarchicalRouter, MoesWeights, RobustObjective, SynthesizedTree,
+};
 use dscts_netlist::{BenchmarkSpec, Design};
-use dscts_tech::Technology;
+use dscts_tech::{CornerSet, Technology};
 use proptest::prelude::*;
 
 /// A small random design: C4 geometry scaled down, varied by seed.
@@ -59,30 +61,54 @@ fn forced_skew_cfg() -> SkewConfig {
     }
 }
 
+/// Runs `schedule` over the single nominal corner of `tech`.
+fn run(
+    schedule: &OptSchedule,
+    tree: &mut SynthesizedTree,
+    tech: &Technology,
+    model: EvalModel,
+) -> ScheduleReport {
+    PassManager::new(schedule)
+        .run(
+            tree,
+            &CornerSet::nominal_only(tech),
+            model,
+            RobustObjective::default(),
+            None,
+        )
+        .expect("feasible at nominal")
+}
+
 fn check_schedule_equivalence(design: &Design, model: EvalModel) {
     let tech = Technology::asap7();
     let base = workload(design, &tech);
+    let sizing = SizingPass::new(SizingConfig::default());
+    let refine = EndpointRefinePass::new(forced_skew_cfg());
 
-    // Legacy chain: each optimizer builds its own evaluator.
-    let mut legacy = base.clone();
-    let sizing_rep = resize_for_skew(&mut legacy, &tech, model, &SizingConfig::default());
-    let refine_rep = refine(&mut legacy, &tech, model, &forced_skew_cfg());
+    // Chained: each one-pass schedule builds its own evaluator.
+    let mut chained = base.clone();
+    let sizing_rep = run(
+        &OptSchedule::new().with(sizing.clone()),
+        &mut chained,
+        &tech,
+        model,
+    );
+    let refine_rep = run(&OptSchedule::new().with(refine), &mut chained, &tech, model);
+    let (sizing_rep, refine_rep) = (&sizing_rep.passes[0], &refine_rep.passes[0]);
 
     // Pass manager: one shared evaluator across the same two passes.
     let mut managed = base.clone();
-    let schedule = OptSchedule::new()
-        .with(SizingPass::new(SizingConfig::default()))
-        .with(EndpointRefinePass::new(forced_skew_cfg()));
-    let report = PassManager::new(&schedule).run(&mut managed, &tech, model);
+    let schedule = OptSchedule::new().with(sizing).with(refine);
+    let report = run(&schedule, &mut managed, &tech, model);
 
     // Bit-identical trees (patterns, scales, star buffers) and metrics.
-    assert_eq!(legacy, managed);
+    assert_eq!(chained, managed);
     assert_eq!(report.before, sizing_rep.before);
     assert_eq!(report.passes[0].after, sizing_rep.after);
     assert_eq!(report.passes[1].before, refine_rep.before);
     assert_eq!(report.after, refine_rep.after);
-    assert_eq!(report.passes[0].accepted, sizing_rep.resized);
-    assert_eq!(report.passes[1].accepted, refine_rep.buffers_added);
+    assert_eq!(report.passes[0].accepted, sizing_rep.accepted);
+    assert_eq!(report.passes[1].accepted, refine_rep.accepted);
     assert_eq!(report.passes[1].triggered, refine_rep.triggered);
     // And the final tree re-evaluates to exactly the reported metrics.
     assert_eq!(managed.evaluate(&tech, model), report.after);
@@ -92,7 +118,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn default_schedule_matches_legacy_elmore(
+    fn shared_evaluator_matches_chained_schedules_elmore(
         sinks in 60usize..200,
         seed in 0u64..1_000,
     ) {
@@ -101,7 +127,7 @@ proptest! {
     }
 
     #[test]
-    fn default_schedule_matches_legacy_nldm(
+    fn shared_evaluator_matches_chained_schedules_nldm(
         sinks in 60usize..200,
         seed in 0u64..1_000,
     ) {
@@ -131,7 +157,7 @@ proptest! {
             let schedule = OptSchedule::new()
                 .seed(anneal_seed)
                 .with(AnnealedSizingPass::new(cfg.clone()));
-            let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+            let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
             (t, rep)
         };
         let (t1, r1) = run_once();

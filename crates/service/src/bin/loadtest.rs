@@ -284,11 +284,10 @@ fn main() {
                     .arm_after(SITE_DP, FaultKind::Panic, skips)
                     .arm_after(SITE_SYNTH, FaultKind::Panic, skips / 2)
                     .arm_after(SITE_EVAL, FaultKind::Error, skips)
-                    .arm_after(SITE_INCREMENTAL, FaultKind::Infeasible, skips)
-                    .arm_after(SITE_MCMM, FaultKind::Infeasible, skips / 2)
+                    .arm_after(SITE_TRIAL, FaultKind::Infeasible, skips)
                     .install();
                 std::thread::sleep(Duration::from_millis(25));
-                fired_total += 5usize.saturating_sub(guard.unfired());
+                fired_total += 4usize.saturating_sub(guard.unfired());
                 drop(guard);
                 round += 1;
                 std::thread::sleep(Duration::from_millis(5));

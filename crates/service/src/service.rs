@@ -674,7 +674,7 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
         _ => pipe.insert_cancel(job.design.topo.clone(), Some(token))?,
     };
     push_stage(&mut stages, &mut stage_start, "insertion");
-    let report = pipe.optimize_tree_cancel(&mut tree, Some(token));
+    let report = pipe.optimize_tree_cancel(&mut tree, Some(token))?;
     let degraded = report.as_ref().is_some_and(|r| r.truncated);
     push_stage(&mut stages, &mut stage_start, "optimize");
     if let Some(report) = &report {

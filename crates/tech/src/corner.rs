@@ -275,8 +275,8 @@ impl CornerSet {
     }
 
     /// A single-corner set holding only the identity corner — timing is
-    /// bit-identical to `base`; used to cross-check the MCMM engine
-    /// against the nominal engine.
+    /// bit-identical to `base`. Single-technology optimization runs the
+    /// resident evaluator over this set.
     pub fn nominal_only(base: &Technology) -> CornerSet {
         CornerSet::expand(base, vec![Corner::nominal("TT")], 0).expect("identity corner is valid")
     }

@@ -30,10 +30,12 @@
 //! ```
 
 use dscts::baseline::{flip_backside, FlipMethod, HTreeCts};
-use dscts::core::sizing::{resize_for_skew, SizingConfig};
+use dscts::core::opt::{OptSchedule, PassManager};
+use dscts::core::sizing::SizingPass;
 use dscts::netlist::def::{parse_def, write_def_with_extras, ExtraComponent};
 use dscts::{
-    BenchmarkSpec, Design, DsCts, EvalModel, ModeRule, RecoveryPolicy, RunBudget, Technology,
+    BenchmarkSpec, CornerSet, Design, DsCts, EvalModel, ModeRule, RecoveryPolicy, RobustObjective,
+    RunBudget, Technology,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -225,10 +227,19 @@ fn run() -> Result<(), String> {
     };
 
     if has("--size") {
-        let report = resize_for_skew(&mut tree, &tech, model, &SizingConfig::default());
+        let schedule = OptSchedule::new().with(SizingPass::default());
+        let report = PassManager::new(&schedule)
+            .run(
+                &mut tree,
+                &CornerSet::nominal_only(&tech),
+                model,
+                RobustObjective::default(),
+                None,
+            )
+            .map_err(|e| e.to_string())?;
         println!(
             "sizing: {} buffers resized, skew {:.3} -> {:.3} ps",
-            report.resized, report.before.skew_ps, report.after.skew_ps
+            report.passes[0].accepted, report.before.skew_ps, report.after.skew_ps
         );
     }
 

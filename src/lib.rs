@@ -118,10 +118,10 @@ pub use dscts_buffer as vanginneken;
 
 pub use dscts_core::{
     baseline, dse, mcmm, opt, resilience, skew, CancelToken, CornerReport, CtsError, DsCts,
-    EvalModel, HierarchicalRouter, IncrementalEval, Mode, ModeRule, MoesWeights, MultiCornerEval,
-    OptSchedule, Outcome, Pattern, PatternSet, PipelineCtx, PruneMode, RecoveryPolicy,
-    RecoveryStep, Relaxation, RobustMetrics, RobustObjective, RootCand, RoutingStyle, RunBudget,
-    Stage, StageTiming, SynthesizedTree, TreeMetrics, TrialEval,
+    EvalModel, HierarchicalRouter, Mode, ModeRule, MoesWeights, MultiCornerEval, OptSchedule,
+    Outcome, Pattern, PatternSet, PipelineCtx, PruneMode, RecoveryPolicy, RecoveryStep, Relaxation,
+    RobustMetrics, RobustObjective, RootCand, RoutingStyle, RunBudget, Stage, StageTiming,
+    SynthesizedTree, TreeMetrics,
 };
 pub use dscts_netlist::{BenchmarkSpec, Design};
 pub use dscts_tech::{
