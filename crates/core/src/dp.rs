@@ -521,29 +521,12 @@ pub fn try_run_dp_with_modes(
     cfg: &DpConfig,
     modes: &[Mode],
 ) -> Result<DpResult, CtsError> {
-    try_run_dp_with_modes_cancel(topo, tech, cfg, modes, None)
+    run_dp_core(topo, tech, cfg, modes, None, None).map(|(res, _)| res)
 }
 
 /// [`try_run_dp_with_modes`] with a cooperative [`CancelToken`] checked
 /// between height groups of the candidate propagation — the pipeline's
-/// mid-insertion budget checkpoint. `None` (what every pre-existing entry
-/// point passes) is bit-identical to the uncancellable path.
-///
-/// # Panics
-///
-/// Panics if `modes.len() != topo.nodes.len()` (a caller bug, not a
-/// data-dependent failure).
-pub fn try_run_dp_with_modes_cancel(
-    topo: &ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
-    cancel: Option<&CancelToken>,
-) -> Result<DpResult, CtsError> {
-    run_dp_core(topo, tech, cfg, modes, cancel, None).map(|(res, _)| res)
-}
-
-/// [`try_run_dp_with_modes_cancel`] with mode-class suffix sharing:
+/// mid-insertion budget checkpoint — and mode-class suffix sharing:
 /// returns the run's own [`DpSuffixCache`] (a free move of the arena the
 /// run built anyway) and, when `reuse` is given, copies cached candidate
 /// sets for every node whose whole subtree carries the same modes as the

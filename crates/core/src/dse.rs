@@ -594,7 +594,7 @@ impl<'a> SweepEngine<'a> {
             let intra = modes.iter().filter(|&&m| m == Mode::IntraSide).count();
             let (mut tree, _dp, cache) =
                 self.base
-                    .insert_with_modes_suffix_cached(topo.clone(), &modes, cancel, reuse)?;
+                    .insert_cached(topo.clone(), Some(&modes), cancel, reuse)?;
             // Corner-aware pipelines optimize the robust objective here
             // (optimize_tree fans out over the corner set), exactly as a
             // full corner-aware `run` would. The sweep token reaches the

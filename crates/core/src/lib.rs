@@ -28,13 +28,16 @@
 //! flipping flows of refs. \[2\] (latency-driven), \[7\] (fanout-driven) and
 //! \[6\] (timing-criticality-driven).
 //!
-//! The pipeline is a *staged engine*: each phase is a [`Stage`] over a
-//! [`PipelineCtx`] blackboard, individually wall-clocked into
-//! [`Outcome::stages`] (the optimize stage additionally reports one
-//! `opt:<name>` timing per executed pass), with data-dependent failures
-//! reported as [`CtsError`] through [`DsCts::try_run`]. Routing and DP
-//! hot paths run rayon-parallel with bit-identical results at any thread
-//! count.
+//! [`DsCts::try_run`] composes four public staged drivers —
+//! [`DsCts::route`], [`DsCts::insert_cached`],
+//! [`DsCts::optimize_tree_cancel`] and [`DsCts::evaluate_tree`] — each
+//! individually wall-clocked into [`Outcome::stages`] (the optimize stage
+//! additionally reports one `opt:<name>` timing per executed pass), with
+//! data-dependent failures reported as [`CtsError`] and recoverable ones
+//! retried by [`RecoveryPolicy::climb`]. Batch drivers call the same
+//! staged drivers directly, so their compositions are bit-identical to a
+//! full run. Routing and DP hot paths run rayon-parallel with
+//! bit-identical results at any thread count.
 //!
 //! Every optimization pass runs on one resident evaluator,
 //! [`MultiCornerEval`]: full evaluation state stays resident per corner
@@ -209,9 +212,8 @@ mod tree;
 pub use dscts_telemetry as telemetry;
 
 pub use dp::{
-    mode_vector, run_dp, try_run_dp, try_run_dp_suffix_cached, try_run_dp_with_modes,
-    try_run_dp_with_modes_cancel, DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights,
-    PruneMode, RootCand,
+    mode_vector, run_dp, try_run_dp, try_run_dp_suffix_cached, try_run_dp_with_modes, DpConfig,
+    DpResult, DpSuffixCache, ModeRule, MoesWeights, PruneMode, RootCand,
 };
 pub use error::CtsError;
 pub use mcmm::{CornerReport, MultiCornerEval, RobustMetrics, RobustObjective};
@@ -220,10 +222,7 @@ pub use opt::{
     PassStats, PatternSearchConfig, PatternSearchPass, ScheduleReport,
 };
 pub use pattern::{BufferStage, Mode, Pattern, PatternEval, PatternSet};
-pub use pipeline::{
-    DsCts, EvalStage, InsertionStage, OptimizeStage, Outcome, PipelineCtx, RouteStage, Stage,
-    StageTiming,
-};
+pub use pipeline::{DsCts, Outcome, StageTiming};
 pub use resilience::{CancelToken, RecoveryPolicy, RecoveryStep, Relaxation, RunBudget};
 pub use route::{HierarchicalRouter, RoutingStyle};
 pub use sizing::SizingPass;

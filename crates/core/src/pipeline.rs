@@ -1,14 +1,14 @@
-//! The end-to-end double-side CTS pipeline (Fig. 4), as a staged engine.
+//! The end-to-end double-side CTS pipeline (Fig. 4).
 //!
-//! [`DsCts`] is the builder; a run executes a sequence of [`Stage`]s over
-//! a shared [`PipelineCtx`] blackboard:
+//! [`DsCts`] is the builder. A run composes four staged drivers, each
+//! public so batch drivers can also call them one at a time:
 //!
-//! | stage | name | reads | writes |
-//! |-------|------|-------|--------|
-//! | [`RouteStage`] | `route` | design, tech | `topo` (routed [`ClockTopo`](crate::ClockTopo)) |
-//! | [`InsertionStage`] | `insertion` | `topo`, tech | `dp`, `tree` (side-validated) |
-//! | [`OptimizeStage`] | `optimize` | `tree`, tech | `optimization`, `refinement` (optional stage) |
-//! | [`EvalStage`] | `evaluate` | `tree`, tech | `metrics` |
+//! | stage | name | driver | produces |
+//! |-------|------|--------|----------|
+//! | routing (§III-B) | `route` | [`DsCts::route`] | routed, subdivided [`ClockTopo`] |
+//! | insertion (§III-C) | `insertion` | [`DsCts::insert_cached`] | DP result, side-validated tree |
+//! | optimization (§III-D) | `optimize` | [`DsCts::optimize_tree_cancel`] | [`ScheduleReport`]; skipped when no pass is scheduled |
+//! | evaluation | `evaluate` | [`DsCts::evaluate_tree`] | final metrics, plus a [`CornerReport`] when corner-aware |
 //!
 //! The optimize stage executes a configured [`OptSchedule`] through the
 //! [`PassManager`] (see [`crate::opt`]): by default exactly one
@@ -33,21 +33,16 @@
 //! pipeline produces the paper's "Our Buffered Clock Tree" front-side
 //! flow.
 //!
-//! Besides [`DsCts::run`]/[`DsCts::try_run`] (which execute the whole
-//! stage sequence), every stage can be **driven individually** —
-//! [`DsCts::route`], [`DsCts::insert`] / [`DsCts::insert_with_modes`],
-//! [`DsCts::optimize_tree`], [`DsCts::evaluate_tree`] — so batch
-//! drivers can amortize shared work across configurations. The batched
-//! DSE engine
+//! Because [`DsCts::try_run`] is itself written with the staged drivers,
+//! any composition of them is bit-identical to the monolithic run. Batch
+//! drivers use that to amortize shared work: the batched DSE engine
 //! ([`crate::dse::SweepEngine`]) routes a design once and then fans the
 //! insertion + optimization + evaluation tail out over mode-equivalence
 //! classes of the threshold sweep; the Table III regenerator shares one
 //! routed topology between the double-side and front-side flows the same
-//! way. Each staged method runs exactly the arithmetic its [`Stage`]
-//! counterpart runs, so any composition of them is bit-identical to the
-//! monolithic `run`.
+//! way.
 
-use crate::dp::{DpConfig, DpResult, ModeRule, MoesWeights, PruneMode, RootCand};
+use crate::dp::{DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights, PruneMode, RootCand};
 use crate::error::CtsError;
 use crate::mcmm::{CornerReport, RobustObjective};
 use crate::opt::{OptSchedule, PassManager, ScheduleReport};
@@ -98,9 +93,10 @@ pub struct DsCts {
 /// pass, reported as `opt:<name>`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
-    /// The stage's [`Stage::name`], or `opt:<pass name>` for a pass of
-    /// the optimize stage. Static for built-in stages, owned for
-    /// dynamically named passes — no leaked strings either way.
+    /// The stage name (`route`, `insertion`, `optimize`, `evaluate`), or
+    /// `opt:<pass name>` for a pass of the optimize stage. Static for
+    /// stages, owned for dynamically named passes — no leaked strings
+    /// either way.
     pub name: Cow<'static, str>,
     /// Elapsed wall-clock seconds.
     pub seconds: f64,
@@ -108,6 +104,21 @@ pub struct StageTiming {
     /// via [`crate::rss::peak_rss_bytes`]. Monotone non-decreasing
     /// across stages (it is a high-water mark); `None` off Linux.
     pub peak_rss_bytes: Option<u64>,
+}
+
+impl ScheduleReport {
+    /// Appends one `opt:<name>` [`StageTiming`] row per pass behind the
+    /// optimize row that ends `stages`. The rows inherit that row's RSS
+    /// sample: the passes already finished, so the stage-end high-water
+    /// mark covers all of them.
+    pub fn push_pass_timings(&self, stages: &mut Vec<StageTiming>) {
+        let stage_peak = stages.last().and_then(|t| t.peak_rss_bytes);
+        stages.extend(self.passes.iter().map(|p| StageTiming {
+            name: Cow::Owned(format!("opt:{}", p.name)),
+            seconds: p.seconds,
+            peak_rss_bytes: stage_peak,
+        }));
+    }
 }
 
 /// Everything a pipeline run produces.
@@ -161,285 +172,58 @@ impl Outcome {
     }
 }
 
-/// The shared blackboard a pipeline run threads through its stages.
-///
-/// Earlier stages deposit artifacts that later stages consume; a stage
-/// that reaches for an artifact its predecessors did not produce is a
-/// stage-ordering bug and panics (the engine constructs orders that
-/// cannot do this). Data-dependent failures use [`CtsError`] instead.
-#[derive(Debug)]
-pub struct PipelineCtx<'a> {
-    /// The design under synthesis.
-    pub design: &'a Design,
-    /// The target technology.
-    pub tech: &'a Technology,
-    /// Delay model for refinement and final metrics.
-    pub eval: EvalModel,
-    /// Routed clock topology (deposited by [`RouteStage`], consumed by
-    /// [`InsertionStage`]).
-    pub topo: Option<ClockTopo>,
-    /// DP result (deposited by [`InsertionStage`]).
-    pub dp: Option<DpResult>,
-    /// Synthesized, side-validated tree (deposited by
-    /// [`InsertionStage`], optimized in place by [`OptimizeStage`]).
-    pub tree: Option<SynthesizedTree>,
-    /// Skew-refinement report (deposited by [`OptimizeStage`] when its
-    /// schedule ran an [`EndpointRefinePass`]).
-    pub refinement: Option<RefineReport>,
-    /// Per-pass optimization report (deposited by [`OptimizeStage`]).
-    pub optimization: Option<ScheduleReport>,
-    /// Final metrics (deposited by [`EvalStage`]).
-    pub metrics: Option<TreeMetrics>,
-    /// Per-corner metrics + robust summary (deposited by [`EvalStage`]
-    /// when the pipeline carries a [`CornerSet`]).
-    pub corner_report: Option<CornerReport>,
-    /// Cooperative cancellation token for this run, when a [`RunBudget`]
-    /// is configured. Stages check it at their boundary; long loops check
-    /// it inside.
-    pub cancel: Option<CancelToken>,
-    /// Set by a stage that truncated work under cancellation (the
-    /// optimize stage); folded into [`Outcome::degraded`].
-    pub degraded: bool,
+/// Reconstructs the [`RefineReport`] from a schedule run, when the
+/// schedule included an [`EndpointRefinePass`]: its trigger flag,
+/// added-buffer count and surrounding metrics. When a custom schedule
+/// runs several refine passes, the **last** one is reported (the closest
+/// to the final tree); its `after` still predates any later non-refine
+/// passes. Matching is by pass name — [`EndpointRefinePass::NAME`] is
+/// reserved for the built-in pass.
+fn refine_report(report: &ScheduleReport) -> Option<RefineReport> {
+    report
+        .passes
+        .iter()
+        .rev()
+        .find(|p| p.name == EndpointRefinePass::NAME)
+        .map(|p| RefineReport {
+            triggered: p.triggered,
+            buffers_added: p.accepted,
+            before: p.before.clone(),
+            after: p.after.clone(),
+        })
 }
 
-impl<'a> PipelineCtx<'a> {
-    /// An empty blackboard over `design` and `tech`.
-    pub fn new(design: &'a Design, tech: &'a Technology, eval: EvalModel) -> Self {
-        PipelineCtx {
-            design,
-            tech,
-            eval,
-            topo: None,
-            dp: None,
-            tree: None,
-            refinement: None,
-            optimization: None,
-            metrics: None,
-            corner_report: None,
-            cancel: None,
-            degraded: false,
-        }
+/// Runs one stage of [`DsCts::try_run`] behind a `catch_unwind` isolation
+/// boundary (the vendored rayon shim re-raises worker panics on the
+/// joining thread, so this also catches panics from parallel sections),
+/// then records its wall clock as a [`StageTiming`] row and a
+/// `span.<name>` duration. A caught panic becomes
+/// [`CtsError::Internal`] tagged with the stage name.
+fn timed_stage<T>(
+    name: &'static str,
+    stages: &mut Vec<StageTiming>,
+    body: impl FnOnce() -> Result<T, CtsError>,
+) -> Result<T, CtsError> {
+    let t0 = Instant::now();
+    let out = catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        telemetry::count("pipeline.panics_caught", 1);
+        Err(CtsError::Internal {
+            stage: name,
+            payload: crate::resilience::panic_message(payload.as_ref()),
+        })
+    })?;
+    let seconds = t0.elapsed().as_secs_f64();
+    // Stage spans share the already-taken wall clock instead of
+    // re-measuring, so instrumented timings equal Outcome's.
+    if let Some(tel) = telemetry::active() {
+        tel.record_duration(&format!("span.{name}"), seconds);
     }
-
-    /// The cancellation token, when the run is budgeted.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-}
-
-/// One phase of the CTS engine, individually instrumented and
-/// restartable over a [`PipelineCtx`].
-pub trait Stage {
-    /// Stable identifier used in [`StageTiming`] and logs.
-    fn name(&self) -> &'static str;
-    /// Executes the stage, reading and writing [`PipelineCtx`] artifacts.
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError>;
-}
-
-/// Hierarchical clock routing (§III-B): dual-level clustering, parallel
-/// per-cluster DME, trunk subdivision to the DP granularity.
-#[derive(Debug, Clone)]
-pub struct RouteStage {
-    hc: usize,
-    lc: usize,
-    seed: u64,
-    style: RoutingStyle,
-    max_seg_len: i64,
-}
-
-impl Stage for RouteStage {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        if let Some(cancel) = &ctx.cancel {
-            cancel.check(self.name())?;
-        }
-        let mut topo = HierarchicalRouter::new()
-            .hc(self.hc)
-            .lc(self.lc)
-            .seed(self.seed)
-            .style(self.style)
-            .try_route(ctx.design, ctx.tech)?;
-        topo.subdivide(self.max_seg_len);
-        ctx.topo = Some(topo);
-        Ok(())
-    }
-}
-
-/// Concurrent buffer & nTSV insertion (§III-C): the multi-objective DP
-/// plus construction and side-validation of the synthesized tree.
-#[derive(Debug, Clone)]
-pub struct InsertionStage {
-    dp: DpConfig,
-}
-
-impl Stage for InsertionStage {
-    fn name(&self) -> &'static str {
-        "insertion"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        if let Some(cancel) = &ctx.cancel {
-            cancel.check(self.name())?;
-        }
-        // invariant: the engine only runs insertion after route.
-        let topo = ctx.topo.take().expect("route stage deposits the topology");
-        let (tree, dp) = insert_on(topo, ctx.tech, &self.dp, None, ctx.cancel.as_ref())?;
-        ctx.dp = Some(dp);
-        ctx.tree = Some(tree);
-        Ok(())
-    }
-}
-
-/// The insertion-stage computation: DP, tree construction, legality gate.
-/// Shared by [`InsertionStage`] and the staged [`DsCts::insert`] /
-/// [`DsCts::insert_with_modes`] drivers so every path runs the identical
-/// arithmetic. `modes` overrides `cfg.mode_rule` when given.
-fn insert_on(
-    topo: ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: Option<&[Mode]>,
-    cancel: Option<&CancelToken>,
-) -> Result<(SynthesizedTree, DpResult), CtsError> {
-    let dp = match modes {
-        Some(modes) => crate::dp::try_run_dp_with_modes_cancel(&topo, tech, cfg, modes, cancel)?,
-        None => {
-            let modes = crate::dp::mode_vector(&topo, cfg.mode_rule);
-            crate::dp::try_run_dp_with_modes_cancel(&topo, tech, cfg, &modes, cancel)?
-        }
-    };
-    fault::fault_check(fault::SITE_SYNTH)?;
-    let tree = SynthesizedTree::new(topo, dp.assignment.clone());
-    // Always-on legality gate: the seed only checked sides under
-    // debug_assert, silently skipping it in release builds.
-    tree.validate_sides().map_err(CtsError::IllegalSides)?;
-    Ok((tree, dp))
-}
-
-/// [`insert_on`] through the suffix-cached DP entry: same stages, plus
-/// the run's own candidate-arena capture for cross-class reuse.
-fn insert_on_suffix(
-    topo: ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
-    cancel: Option<&CancelToken>,
-    reuse: Option<&crate::dp::DpSuffixCache>,
-) -> Result<(SynthesizedTree, DpResult, crate::dp::DpSuffixCache), CtsError> {
-    let (dp, cache) = crate::dp::try_run_dp_suffix_cached(&topo, tech, cfg, modes, cancel, reuse)?;
-    fault::fault_check(fault::SITE_SYNTH)?;
-    let tree = SynthesizedTree::new(topo, dp.assignment.clone());
-    tree.validate_sides().map_err(CtsError::IllegalSides)?;
-    Ok((tree, dp, cache))
-}
-
-/// Post-CTS optimization (§III-D and beyond): executes a configured
-/// [`OptSchedule`] over one resident incremental evaluator. Optional:
-/// present only when [`DsCts::schedule`] or [`DsCts::skew_refinement`]
-/// configures at least one pass. The default schedule is a single
-/// [`EndpointRefinePass`], bit-identical to the pre-pass-API refine
-/// stage.
-#[derive(Debug, Clone)]
-pub struct OptimizeStage {
-    schedule: OptSchedule,
-    /// The corners every trial move fans out to — the pipeline's
-    /// [`DsCts::corners`], or its nominal technology alone — scored
-    /// through `objective`.
-    corners: Arc<CornerSet>,
-    objective: RobustObjective,
-}
-
-impl OptimizeStage {
-    /// A stage executing `schedule` over every corner of `corners`,
-    /// scored through `objective` (see [`PassManager::run`]).
-    pub fn new(schedule: OptSchedule, corners: Arc<CornerSet>, objective: RobustObjective) -> Self {
-        OptimizeStage {
-            schedule,
-            corners,
-            objective,
-        }
-    }
-
-    /// Reconstructs the [`RefineReport`] from a schedule run, when the
-    /// schedule included an [`EndpointRefinePass`]: its trigger flag,
-    /// added-buffer count and surrounding metrics. When a custom
-    /// schedule runs several refine passes, the **last** one is reported
-    /// (the closest to the final tree); its `after` still predates any
-    /// later non-refine passes. Matching is by pass name —
-    /// [`EndpointRefinePass::NAME`] is reserved for the built-in pass.
-    fn refine_report(report: &ScheduleReport) -> Option<RefineReport> {
-        report
-            .passes
-            .iter()
-            .rev()
-            .find(|p| p.name == EndpointRefinePass::NAME)
-            .map(|p| RefineReport {
-                triggered: p.triggered,
-                buffers_added: p.accepted,
-                before: p.before.clone(),
-                after: p.after.clone(),
-            })
-    }
-}
-
-impl Stage for OptimizeStage {
-    fn name(&self) -> &'static str {
-        "optimize"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        // invariant: the engine only runs optimize after insertion.
-        let tree = ctx
-            .tree
-            .as_mut()
-            .expect("insertion stage deposits the tree");
-        let report = PassManager::new(&self.schedule).run(
-            tree,
-            &self.corners,
-            ctx.eval,
-            self.objective,
-            ctx.cancel.as_ref(),
-        )?;
-        // A truncated schedule is the *degraded but valid* outcome the
-        // budget promises: skip the rest, still evaluate, flag it.
-        ctx.degraded |= report.truncated;
-        ctx.refinement = Self::refine_report(&report);
-        ctx.optimization = Some(report);
-        Ok(())
-    }
-}
-
-/// Final metric extraction under the configured delay model — plus, for
-/// a corner-aware pipeline, one batch evaluation per corner folded into
-/// the [`CornerReport`].
-#[derive(Debug, Clone, Default)]
-pub struct EvalStage {
-    corners: Option<Arc<CornerSet>>,
-}
-
-impl Stage for EvalStage {
-    fn name(&self) -> &'static str {
-        "evaluate"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        // No cancellation check: evaluation is cheap and always runs, so a
-        // budget-truncated run still yields a fully-measured outcome.
-        fault::fault_check(fault::SITE_EVAL)?;
-        // invariant: the engine only runs evaluate after insertion.
-        let tree = ctx
-            .tree
-            .as_ref()
-            .expect("insertion stage deposits the tree");
-        ctx.metrics = Some(tree.evaluate(ctx.tech, ctx.eval));
-        if let Some(corners) = &self.corners {
-            ctx.corner_report = Some(CornerReport::try_evaluate(tree, corners, ctx.eval)?);
-        }
-        Ok(())
-    }
+    stages.push(StageTiming {
+        name: Cow::Borrowed(name),
+        seconds,
+        peak_rss_bytes: crate::rss::peak_rss_bytes(),
+    });
+    Ok(out)
 }
 
 impl DsCts {
@@ -658,89 +442,79 @@ impl DsCts {
 
     // ---- Staged drivers. ----
     //
-    // Each method below executes exactly one stage's arithmetic, so any
-    // composition is bit-identical to `run`. Batch drivers use them to
-    // amortize shared work: the DSE engine routes once per design, the
-    // Table III regenerator shares a routed topology between flows.
+    // `try_run` is written with these, so any composition of them is
+    // bit-identical to `run`. Batch drivers use them to amortize shared
+    // work: the DSE engine routes once per design, the Table III
+    // regenerator shares a routed topology between flows.
 
-    /// Runs only the routing stage, returning the routed (and subdivided)
-    /// topology. Identical to what [`DsCts::run`] deposits after its first
-    /// stage.
+    /// Runs only the routing stage (§III-B: dual-level clustering,
+    /// parallel per-cluster DME, trunk subdivision to the DP granularity),
+    /// returning the routed topology.
     pub fn route(&self, design: &Design) -> Result<ClockTopo, CtsError> {
-        let mut ctx = PipelineCtx::new(design, &self.tech, self.eval);
-        self.route_stage().run(&mut ctx)?;
-        // invariant: RouteStage::run deposits topo on every Ok return.
-        Ok(ctx.topo.expect("route stage deposits the topology"))
+        let mut topo = HierarchicalRouter::new()
+            .hc(self.hc)
+            .lc(self.lc)
+            .seed(self.seed)
+            .style(self.style)
+            .try_route(design, &self.tech)?;
+        topo.subdivide(self.max_seg_len);
+        Ok(topo)
     }
 
     /// Runs only the insertion stage on a pre-routed topology: the DP
     /// under this pipeline's configuration, tree construction and the
     /// side-legality gate.
     pub fn insert(&self, topo: ClockTopo) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, None, None)
+        self.insert_cached(topo, None, None, None)
+            .map(|(tree, dp, _)| (tree, dp))
     }
 
     /// [`DsCts::insert`] with a precomputed per-node [`Mode`] vector,
-    /// ignoring the configured [`ModeRule`]. The batched DSE engine calls
-    /// this once per mode-equivalence class.
+    /// ignoring the configured [`ModeRule`].
     pub fn insert_with_modes(
         &self,
         topo: ClockTopo,
         modes: &[Mode],
     ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, Some(modes), None)
+        self.insert_cached(topo, Some(modes), None, None)
+            .map(|(tree, dp, _)| (tree, dp))
     }
 
-    /// [`DsCts::insert`] observing an external [`CancelToken`]: the DP's
-    /// per-height propagation loop checkpoints the token and reports
-    /// [`CtsError::Cancelled`] once it trips. With `None` (or an untripped
-    /// token) the result is bit-identical to [`DsCts::insert`]. Batch and
-    /// service drivers use this so externally-owned deadlines reach the
-    /// insertion hot loop, not just stage boundaries.
-    pub fn insert_cancel(
+    /// The insertion stage with every knob: `modes` overrides the
+    /// configured [`ModeRule`] when given; the DP's per-height
+    /// propagation loop checkpoints `cancel` and reports
+    /// [`CtsError::Cancelled`] once it trips; and the run's own
+    /// [`DpSuffixCache`] (a free arena move) is returned beside the tree.
+    /// When `reuse` carries an earlier run's cache, candidate sets of
+    /// subtrees whose modes match are copied instead of recomputed (see
+    /// [`crate::try_run_dp_suffix_cached`]). With no token, no reuse and
+    /// the configured modes the result is bit-identical to
+    /// [`DsCts::insert`]. The batched DSE engine scores the fullest-mode
+    /// class first and lends its cache to every other class of the same
+    /// routed design; service jobs pass their deadline token.
+    pub fn insert_cached(
         &self,
         topo: ClockTopo,
+        modes: Option<&[Mode]>,
         cancel: Option<&CancelToken>,
-    ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, None, cancel)
-    }
-
-    /// [`DsCts::insert_with_modes`] observing an external [`CancelToken`]
-    /// (see [`DsCts::insert_cancel`] for the checkpoint semantics).
-    pub fn insert_with_modes_cancel(
-        &self,
-        topo: ClockTopo,
-        modes: &[Mode],
-        cancel: Option<&CancelToken>,
-    ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, Some(modes), cancel)
-    }
-
-    /// [`DsCts::insert_with_modes_cancel`] through the suffix-cached DP
-    /// entry ([`crate::try_run_dp_suffix_cached`]): always returns the
-    /// run's own [`DpSuffixCache`](crate::dp::DpSuffixCache) (a free arena move), and when `reuse`
-    /// carries an earlier class's cache, candidate sets of subtrees whose
-    /// modes match are copied instead of recomputed — bit-identical
-    /// either way. The batched DSE engine scores the fullest-mode class
-    /// first and lends its cache to every other class of the same routed
-    /// design.
-    pub fn insert_with_modes_suffix_cached(
-        &self,
-        topo: ClockTopo,
-        modes: &[Mode],
-        cancel: Option<&CancelToken>,
-        reuse: Option<&crate::dp::DpSuffixCache>,
-    ) -> Result<(SynthesizedTree, DpResult, crate::dp::DpSuffixCache), CtsError> {
-        insert_on_suffix(topo, &self.tech, &self.dp, modes, cancel, reuse)
-    }
-
-    /// The corners the optimize stage fans out to: the configured
-    /// [`DsCts::corners`], or this pipeline's technology alone. Built at
-    /// most once per optimize call, never per trial move.
-    fn optimize_corners(&self) -> Arc<CornerSet> {
-        self.corners
-            .clone()
-            .unwrap_or_else(|| Arc::new(CornerSet::nominal_only(&self.tech)))
+        reuse: Option<&DpSuffixCache>,
+    ) -> Result<(SynthesizedTree, DpResult, DpSuffixCache), CtsError> {
+        let rule_modes;
+        let modes = match modes {
+            Some(modes) => modes,
+            None => {
+                rule_modes = crate::dp::mode_vector(&topo, self.dp.mode_rule);
+                &rule_modes
+            }
+        };
+        let (dp, cache) =
+            crate::dp::try_run_dp_suffix_cached(&topo, &self.tech, &self.dp, modes, cancel, reuse)?;
+        fault::fault_check(fault::SITE_SYNTH)?;
+        let tree = SynthesizedTree::new(topo, dp.assignment.clone());
+        // Always-on legality gate: the seed only checked sides under
+        // debug_assert, silently skipping it in release builds.
+        tree.validate_sides().map_err(CtsError::IllegalSides)?;
+        Ok((tree, dp, cache))
     }
 
     /// Runs only the optimize stage on a synthesized tree, in place:
@@ -748,7 +522,7 @@ impl DsCts {
     /// configured corners when the pipeline is corner-aware — so any
     /// composition with the other staged drivers is bit-identical to
     /// [`DsCts::run`]. Returns `None` (doing nothing) when no pass is
-    /// scheduled, mirroring the optional [`OptimizeStage`].
+    /// scheduled, as [`DsCts::run`] then skips the stage.
     ///
     /// # Panics
     ///
@@ -779,58 +553,31 @@ impl DsCts {
         tree: &mut SynthesizedTree,
         cancel: Option<&CancelToken>,
     ) -> Result<Option<ScheduleReport>, CtsError> {
-        let Some(schedule) = self.effective_schedule() else {
-            return Ok(None);
-        };
-        PassManager::new(&schedule)
-            .run(
-                tree,
-                &self.optimize_corners(),
-                self.eval,
-                self.robust,
-                cancel,
-            )
-            .map(Some)
+        self.effective_schedule()
+            .map(|schedule| self.run_schedule(&schedule, tree, cancel))
+            .transpose()
+    }
+
+    /// Executes `schedule` over the configured corners, or this
+    /// pipeline's technology alone — built at most once per optimize
+    /// call, never per trial move.
+    fn run_schedule(
+        &self,
+        schedule: &OptSchedule,
+        tree: &mut SynthesizedTree,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ScheduleReport, CtsError> {
+        let corners = self
+            .corners
+            .clone()
+            .unwrap_or_else(|| Arc::new(CornerSet::nominal_only(&self.tech)));
+        PassManager::new(schedule).run(tree, &corners, self.eval, self.robust, cancel)
     }
 
     /// Runs only the evaluation stage: final metrics under the configured
     /// delay model.
     pub fn evaluate_tree(&self, tree: &SynthesizedTree) -> TreeMetrics {
         tree.evaluate(&self.tech, self.eval)
-    }
-
-    /// The routing stage this configuration runs — the single place its
-    /// fields are copied out, shared by [`DsCts::stages`] and
-    /// [`DsCts::route`] so the staged driver cannot drift from `run`.
-    fn route_stage(&self) -> RouteStage {
-        RouteStage {
-            hc: self.hc,
-            lc: self.lc,
-            seed: self.seed,
-            style: self.style,
-            max_seg_len: self.max_seg_len,
-        }
-    }
-
-    /// The stage sequence this configuration will execute, in order.
-    pub fn stages(&self) -> Vec<Box<dyn Stage>> {
-        let mut stages: Vec<Box<dyn Stage>> = vec![
-            Box::new(self.route_stage()),
-            Box::new(InsertionStage {
-                dp: self.dp.clone(),
-            }),
-        ];
-        if let Some(schedule) = self.effective_schedule() {
-            stages.push(Box::new(OptimizeStage::new(
-                schedule,
-                self.optimize_corners(),
-                self.robust,
-            )));
-        }
-        stages.push(Box::new(EvalStage {
-            corners: self.corners.clone(),
-        }));
-        stages
     }
 
     /// Runs the full pipeline on `design`, timing each stage.
@@ -841,61 +588,32 @@ impl DsCts {
     /// an expired deadline inside route/insertion reports
     /// [`CtsError::Cancelled`] while later expiry degrades the outcome
     /// instead; with a [`DsCts::recovery`] policy, recoverable errors are
-    /// deterministically retried down the relaxation ladder. A panic
-    /// escaping any stage is caught at the stage boundary and reported as
-    /// [`CtsError::Internal`].
+    /// deterministically retried down the relaxation ladder
+    /// ([`RecoveryPolicy::climb`]). A panic escaping any stage is caught
+    /// at the stage boundary and reported as [`CtsError::Internal`].
     pub fn try_run(&self, design: &Design) -> Result<Outcome, CtsError> {
         // One token for the whole run: recovery retries share the same
         // deadline/trial budget instead of resetting it per attempt.
         let token = self.budget.as_ref().map(RunBudget::token);
-        let first = self.try_run_once(design, token.as_ref());
-        let err = match first {
-            Ok(outcome) => return Ok(outcome),
-            Err(err) => err,
-        };
-        let Some(policy) = &self.recovery else {
-            return Err(err);
-        };
-        if !RecoveryPolicy::recoverable(&err) {
-            return Err(err);
-        }
-        // Deterministic ladder: apply each relaxation cumulatively and
-        // retry the whole stage sequence; record every rung taken.
-        let mut steps = Vec::new();
-        let mut relaxed = self.clone();
-        let mut last_err = err;
-        for &rung in policy.ladder() {
+        let (result, steps) = RecoveryPolicy::climb(self.recovery.as_ref(), self, |pipe, rung| {
             // Rung counters ("pipeline.recovery.<rung>") make ladder
             // climbs visible in the metrics snapshot without parsing
             // per-outcome recovery vectors.
-            if let Some(tel) = telemetry::active() {
+            if let (Some(rung), Some(tel)) = (rung, telemetry::active()) {
                 tel.counter(&format!("pipeline.recovery.{}", rung.label()))
                     .incr();
             }
-            steps.push(RecoveryStep {
-                error: last_err.clone(),
-                relaxation: rung,
-            });
-            relaxed = relaxed.with_relaxation(rung);
-            match relaxed.try_run_once(design, token.as_ref()) {
-                Ok(mut outcome) => {
-                    outcome.recovery = steps;
-                    return Ok(outcome);
-                }
-                Err(e) if RecoveryPolicy::recoverable(&e) => last_err = e,
-                // Cancellation/internal errors end the ladder immediately:
-                // more relaxations cannot help.
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+            pipe.try_run_once(design, token.as_ref())
+        });
+        result.map(|outcome| Outcome {
+            recovery: steps,
+            ..outcome
+        })
     }
 
-    /// One [`Relaxation`] rung applied to this configuration — the same
-    /// transformation [`DsCts::try_run`]'s recovery ladder applies
-    /// internally, public so external retry drivers (the service layer's
-    /// per-job ladder) relax a pipeline exactly the way the built-in
-    /// ladder would.
+    /// One [`Relaxation`] rung applied to this configuration — the
+    /// transformation [`RecoveryPolicy::climb`] applies cumulatively, one
+    /// rung per retry.
     pub fn with_relaxation(mut self, rung: Relaxation) -> Self {
         match rung {
             Relaxation::WidenPatternSet => self.dp.patterns = PatternSet::Extended,
@@ -907,82 +625,71 @@ impl DsCts {
         self
     }
 
-    /// One full stage-sequence attempt: the pre-resilience `try_run`
-    /// body, plus the cancellation token on the blackboard and a
-    /// `catch_unwind` isolation boundary around every stage (the vendored
-    /// rayon shim re-raises worker panics on the joining thread, so this
-    /// boundary also catches panics from parallel sections).
+    /// One attempt at the whole run: route → insert → optimize →
+    /// evaluate through the staged drivers, each behind [`timed_stage`].
+    /// Route and insertion check the token at their boundary and fail
+    /// with [`CtsError::Cancelled`]; optimize truncates instead, and
+    /// evaluation is cheap and always runs, so a budget-truncated run
+    /// still yields a fully-measured outcome.
     fn try_run_once(
         &self,
         design: &Design,
         cancel: Option<&CancelToken>,
     ) -> Result<Outcome, CtsError> {
         let start = Instant::now();
-        let mut ctx = PipelineCtx::new(design, &self.tech, self.eval);
-        ctx.cancel = cancel.cloned();
-        let mut timings = Vec::new();
-        for stage in self.stages() {
-            let deposited_before = ctx.optimization.is_some();
-            let t0 = Instant::now();
-            catch_unwind(AssertUnwindSafe(|| stage.run(&mut ctx))).unwrap_or_else(|payload| {
-                telemetry::count("pipeline.panics_caught", 1);
-                Err(CtsError::Internal {
-                    stage: stage.name(),
-                    payload: crate::resilience::panic_message(payload.as_ref()),
-                })
-            })?;
-            let seconds = t0.elapsed().as_secs_f64();
-            // Stage spans share the already-taken wall clock instead of
-            // re-measuring, so instrumented timings equal Outcome's.
-            if let Some(tel) = telemetry::active() {
-                tel.record_duration(&format!("span.{}", stage.name()), seconds);
+        let mut stages = Vec::new();
+        let topo = timed_stage("route", &mut stages, || {
+            cancel.map_or(Ok(()), |c| c.check("route"))?;
+            self.route(design)
+        })?;
+        let (mut tree, dp, _) = timed_stage("insertion", &mut stages, || {
+            cancel.map_or(Ok(()), |c| c.check("insertion"))?;
+            self.insert_cached(topo, None, cancel, None)
+        })?;
+        let optimization = match self.effective_schedule() {
+            Some(schedule) => {
+                let report = timed_stage("optimize", &mut stages, || {
+                    self.run_schedule(&schedule, &mut tree, cancel)
+                })?;
+                report.push_pass_timings(&mut stages);
+                Some(report)
             }
-            timings.push(StageTiming {
-                name: Cow::Borrowed(stage.name()),
-                seconds,
-                peak_rss_bytes: crate::rss::peak_rss_bytes(),
-            });
-            if !deposited_before {
-                // Whichever stage just deposited the schedule report gets
-                // its per-pass wall clocks folded in right behind it, as
-                // `opt:<name>` entries.
-                if let Some(report) = &ctx.optimization {
-                    // Per-pass rows inherit the optimize stage's sample:
-                    // the passes already finished, so the stage-end
-                    // high-water mark covers all of them.
-                    let stage_peak = timings.last().and_then(|t| t.peak_rss_bytes);
-                    timings.extend(report.passes.iter().map(|p| StageTiming {
-                        name: Cow::Owned(format!("opt:{}", p.name)),
-                        seconds: p.seconds,
-                        peak_rss_bytes: stage_peak,
-                    }));
-                }
-            }
-        }
+            None => None,
+        };
+        // A truncated schedule is the *degraded but valid* outcome the
+        // budget promises: the rest was skipped, the tree still evaluates.
+        let degraded = optimization.as_ref().is_some_and(|r| r.truncated);
+        let (metrics, corners) = timed_stage("evaluate", &mut stages, || {
+            fault::fault_check(fault::SITE_EVAL)?;
+            let metrics = self.evaluate_tree(&tree);
+            let corners = self
+                .corners
+                .as_deref()
+                .map(|corners| CornerReport::try_evaluate(&tree, corners, self.eval))
+                .transpose()?;
+            Ok((metrics, corners))
+        })?;
         if let Some(tel) = telemetry::active() {
             tel.counter("pipeline.runs").incr();
-            if ctx.degraded {
+            if degraded {
                 tel.counter("pipeline.degraded").incr();
             }
             if let Some(rss) = crate::rss::peak_rss_bytes() {
                 tel.gauge("process.peak_rss_bytes").max(rss as i64);
             }
         }
-        // invariant: the stage sequence always contains insertion and
-        // evaluate, and every stage returned Ok above.
-        let dp = ctx.dp.expect("insertion stage ran");
         Ok(Outcome {
-            tree: ctx.tree.expect("insertion stage ran"),
-            metrics: ctx.metrics.expect("evaluation stage ran"),
+            tree,
+            metrics,
             root_candidates: dp.root_candidates,
             chosen: dp.chosen,
-            refinement: ctx.refinement,
-            optimization: ctx.optimization,
-            corners: ctx.corner_report,
-            stages: timings,
+            refinement: optimization.as_ref().and_then(refine_report),
+            optimization,
+            corners,
+            stages,
             runtime_s: start.elapsed().as_secs_f64(),
             peak_rss_bytes: crate::rss::peak_rss_bytes(),
-            degraded: ctx.degraded,
+            degraded,
             recovery: Vec::new(),
         })
     }

@@ -27,6 +27,7 @@
 //! to a build of this crate without the module.
 
 use crate::error::CtsError;
+use crate::pipeline::DsCts;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -281,6 +282,44 @@ impl RecoveryPolicy {
                 | CtsError::NoRootCandidate
                 | CtsError::IllegalSides(_)
         )
+    }
+
+    /// Climbs the ladder: the one retry driver behind
+    /// [`DsCts::try_run`], the service's per-job retry and its
+    /// bit-identity oracle.
+    ///
+    /// `attempt(pipe, None)` runs first. While it fails with a
+    /// [recoverable](RecoveryPolicy::recoverable) error, the next rung is
+    /// applied cumulatively ([`DsCts::with_relaxation`]), recorded as a
+    /// [`RecoveryStep`] carrying the previous error, and
+    /// `attempt(relaxed, Some(rung))` runs again — callers count the
+    /// rung there, before the retry runs. A non-recoverable error stops
+    /// the climb at once; an exhausted ladder returns the last error.
+    /// Without a policy only the first attempt runs. Attempts share
+    /// whatever the closure captures, such as one cancellation token.
+    pub fn climb<T>(
+        policy: Option<&RecoveryPolicy>,
+        pipe: &DsCts,
+        mut attempt: impl FnMut(&DsCts, Option<Relaxation>) -> Result<T, CtsError>,
+    ) -> (Result<T, CtsError>, Vec<RecoveryStep>) {
+        let (policy, mut last_err) = match (policy, attempt(pipe, None)) {
+            (Some(policy), Err(err)) if RecoveryPolicy::recoverable(&err) => (policy, err),
+            (_, result) => return (result, Vec::new()),
+        };
+        let mut steps = Vec::new();
+        let mut relaxed = pipe.clone();
+        for &rung in policy.ladder() {
+            steps.push(RecoveryStep {
+                error: last_err,
+                relaxation: rung,
+            });
+            relaxed = relaxed.with_relaxation(rung);
+            match attempt(&relaxed, Some(rung)) {
+                Err(err) if RecoveryPolicy::recoverable(&err) => last_err = err,
+                result => return (result, steps),
+            }
+        }
+        (Err(last_err), steps)
     }
 }
 
@@ -631,5 +670,132 @@ mod tests {
     fn fault_checks_are_noops_without_a_plan() {
         assert!(fault::fault_check(fault::SITE_ROUTE).is_ok());
         assert!(!fault::fault_infeasible(fault::SITE_TRIAL));
+    }
+
+    /// What one scripted attempt saw: its rung, and the pattern set and
+    /// candidate cap of the pipeline it was handed.
+    type Seen = (Option<Relaxation>, crate::PatternSet, usize);
+
+    /// Climbs `policy` over scripted attempt results; no pipeline runs.
+    fn climb_script(
+        policy: Option<&RecoveryPolicy>,
+        script: Vec<Result<u32, CtsError>>,
+    ) -> (Result<u32, CtsError>, Vec<RecoveryStep>, Vec<Seen>) {
+        let pipe = DsCts::new(dscts_tech::Technology::asap7());
+        let mut script = script.into_iter();
+        let mut seen = Vec::new();
+        let (result, steps) = RecoveryPolicy::climb(policy, &pipe, |pipe, rung| {
+            let dp = pipe.dp_config();
+            seen.push((rung, dp.patterns, dp.max_cands));
+            script
+                .next()
+                .expect("climb ran more attempts than scripted")
+        });
+        (result, steps, seen)
+    }
+
+    fn infeasible(node: u32) -> CtsError {
+        CtsError::NoFeasiblePattern {
+            node,
+            edge_len_nm: 1,
+        }
+    }
+
+    #[test]
+    fn climb_stops_at_a_first_success() {
+        let (result, steps, seen) = climb_script(Some(&RecoveryPolicy::new()), vec![Ok(1)]);
+        assert_eq!(result, Ok(1));
+        assert!(steps.is_empty());
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].0, None);
+    }
+
+    #[test]
+    fn climb_returns_a_non_recoverable_first_error_without_steps() {
+        let policy = RecoveryPolicy::new();
+        let (result, steps, seen) = climb_script(Some(&policy), vec![Err(CtsError::EmptyDesign)]);
+        assert_eq!(result, Err(CtsError::EmptyDesign));
+        assert!(steps.is_empty());
+        assert_eq!(seen.len(), 1);
+        // Without a policy even a recoverable error ends the run.
+        let (result, steps, _) = climb_script(None, vec![Err(CtsError::NoRootCandidate)]);
+        assert_eq!(result, Err(CtsError::NoRootCandidate));
+        assert!(steps.is_empty());
+    }
+
+    #[test]
+    fn climb_applies_rungs_cumulatively_until_a_retry_succeeds() {
+        let (result, steps, seen) = climb_script(
+            Some(&RecoveryPolicy::new()),
+            vec![Err(CtsError::NoRootCandidate), Err(infeasible(3)), Ok(7)],
+        );
+        assert_eq!(result, Ok(7));
+        assert_eq!(
+            steps,
+            [
+                RecoveryStep {
+                    error: CtsError::NoRootCandidate,
+                    relaxation: Relaxation::WidenPatternSet,
+                },
+                RecoveryStep {
+                    error: infeasible(3),
+                    relaxation: Relaxation::RaiseMaxCandidates(4),
+                },
+            ]
+        );
+        let (_, base_patterns, base_cands) = seen[0];
+        assert_eq!(
+            seen,
+            [
+                (None, base_patterns, base_cands),
+                (
+                    Some(Relaxation::WidenPatternSet),
+                    crate::PatternSet::Extended,
+                    base_cands
+                ),
+                (
+                    Some(Relaxation::RaiseMaxCandidates(4)),
+                    crate::PatternSet::Extended,
+                    base_cands * 4
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn climb_stops_at_a_non_recoverable_retry_error() {
+        let internal = CtsError::Internal {
+            stage: "insertion",
+            payload: "boom".into(),
+        };
+        let (result, steps, seen) = climb_script(
+            Some(&RecoveryPolicy::new()),
+            vec![Err(CtsError::NoRootCandidate), Err(internal.clone())],
+        );
+        assert_eq!(result, Err(internal));
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].error, CtsError::NoRootCandidate);
+        assert_eq!(seen.len(), 2);
+    }
+
+    #[test]
+    fn climb_exhausts_the_ladder_with_the_last_error() {
+        let policy = RecoveryPolicy::new();
+        let (result, steps, seen) = climb_script(
+            Some(&policy),
+            vec![
+                Err(infeasible(0)),
+                Err(infeasible(1)),
+                Err(infeasible(2)),
+                Err(infeasible(3)),
+            ],
+        );
+        assert_eq!(result, Err(infeasible(3)));
+        assert_eq!(steps.len(), policy.ladder().len());
+        for (i, (step, &rung)) in steps.iter().zip(policy.ladder()).enumerate() {
+            assert_eq!(step.error, infeasible(i as u32));
+            assert_eq!(step.relaxation, rung);
+        }
+        assert_eq!(seen.len(), policy.ladder().len() + 1);
     }
 }

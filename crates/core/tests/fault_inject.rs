@@ -7,6 +7,13 @@
 //! mutation report `false` with its journal — and every corner replica —
 //! rolled back bit-identically. Arms fire once and disarm, so the same
 //! pipeline retried under an exhausted plan succeeds.
+//!
+//! Sites are process-global, so every phase of a test that runs pipeline
+//! or evaluator code holds a plan guard — clean phases an empty
+//! `FaultPlan::new().install()`. `install` blocks while any plan is
+//! active, so guarded phases of parallel tests never overlap and no test
+//! consumes a sibling's arms. Guards never nest: a second `install` on
+//! the same thread would wait for itself forever.
 
 #![cfg(feature = "fault-inject")]
 
@@ -26,7 +33,10 @@ fn design() -> dscts_netlist::Design {
 }
 
 /// A synthesized tree built outside the pipeline, for evaluator tests.
+/// Routes and runs the DP under an empty plan of its own, so callers
+/// must not hold a guard.
 fn tree() -> (SynthesizedTree, Technology) {
+    let _clean = FaultPlan::new().install();
     let d = design();
     let tech = Technology::asap7();
     let mut topo = HierarchicalRouter::new().route(&d, &tech);
@@ -105,7 +115,10 @@ fn arms_fire_once_then_disarm() {
     // One plan, two runs: the first trips the arm, the second sails
     // through — and matches a run that never saw a fault, bit for bit.
     let d = design();
-    let clean = DsCts::new(Technology::asap7()).run(&d);
+    let clean = {
+        let _clean = FaultPlan::new().install();
+        DsCts::new(Technology::asap7()).run(&d)
+    };
     let _guard = FaultPlan::new().arm(SITE_EVAL, FaultKind::Error).install();
     let pipe = DsCts::new(Technology::asap7());
     assert!(pipe.try_run(&d).is_err());
@@ -122,10 +135,10 @@ fn arm_after_skips_a_deterministic_number_of_visits() {
     let (mut t, tech) = tree();
     let edge = buffered_edge(&t);
     let corners = CornerSet::nominal_only(&tech);
-    let mut inc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
     let _guard = FaultPlan::new()
         .arm_after(SITE_TRIAL, FaultKind::Infeasible, 1)
         .install();
+    let mut inc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
     assert!(inc.set_buffer_scale(edge, 2.0), "visit 0 passes");
     assert!(!inc.set_buffer_scale(edge, 1.5), "visit 1 fires");
     assert!(inc.set_buffer_scale(edge, 1.5), "visit 2: disarmed");
@@ -168,15 +181,17 @@ proptest! {
     fn injected_infeasibility_rolls_back_the_incremental_journal(raw in mutations()) {
         let (mut t, tech) = tree();
         let ops = resolve(&t, &raw);
+        let clean = FaultPlan::new().install();
         let baseline = t.evaluate(&tech, EvalModel::Elmore);
         let corners = CornerSet::nominal_only(&tech);
         let mut inc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
+        drop(clean);
         for op in ops {
-            let before: TreeMetrics = inc.metrics();
-            let mark = inc.mark();
             let _guard = FaultPlan::new()
                 .arm(SITE_TRIAL, FaultKind::Infeasible)
                 .install();
+            let before: TreeMetrics = inc.metrics();
+            let mark = inc.mark();
             // The fault fires *after* the repropagation succeeded, so a
             // fully-propagated dirty path must be unwound.
             let ok = match op {
@@ -195,6 +210,7 @@ proptest! {
         }
         drop(inc);
         // Nothing was ever applied: the tree still evaluates at baseline.
+        let _clean = FaultPlan::new().install();
         prop_assert_eq!(t.evaluate(&tech, EvalModel::Elmore), baseline);
     }
 
@@ -203,17 +219,19 @@ proptest! {
         let (mut t, tech) = tree();
         let ops = resolve(&t, &raw);
         let corners = CornerSet::asap7_pvt(&tech);
+        let clean = FaultPlan::new().install();
         let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).expect("feasible");
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
+        drop(clean);
         for op in ops {
-            let mark = mc.mark();
             // Fires after all three corners repropagated: every corner's
             // dirty path must be unwound.
             let _guard = FaultPlan::new()
                 .arm(SITE_TRIAL, FaultKind::Infeasible)
                 .install();
+            let mark = mc.mark();
             let ok = match op {
                 Mutation::Scale(edge, s) => mc.set_buffer_scale(edge, s),
                 Mutation::Star(si) => {

@@ -785,40 +785,21 @@ type OracleResult = Result<
 
 /// The direct (uncached) oracle for one job kind, mirroring the
 /// service's full per-job execution: the same staged-driver composition
-/// on a freshly routed topology, plus the same recovery ladder the
-/// service climbs on recoverable errors. Returns the terminal result and
-/// the number of ladder rungs climbed (which must equal the service
-/// job's recorded `recovery` steps).
+/// on a freshly routed topology, climbing the same recovery ladder
+/// ([`dscts_core::RecoveryPolicy::climb`]) on recoverable errors.
+/// Returns the terminal result and the number of ladder rungs climbed
+/// (which must equal the service job's recorded `recovery` steps).
 fn direct_oracle(
     base: &DsCts,
     design: &Design,
     kind: JobKind,
     retry: Option<&dscts_core::RecoveryPolicy>,
 ) -> (OracleResult, usize) {
-    use dscts_core::RecoveryPolicy;
-    let mut pipe = job_pipeline(base, &kind);
-    let mut result = direct_attempt(&pipe, design, kind);
-    let mut rungs = 0;
-    if let (Err(first), Some(policy)) = (&result, retry) {
-        if RecoveryPolicy::recoverable(first) {
-            for &rung in policy.ladder() {
-                rungs += 1;
-                pipe = pipe.with_relaxation(rung);
-                match direct_attempt(&pipe, design, kind) {
-                    Ok(ok) => {
-                        result = Ok(ok);
-                        break;
-                    }
-                    Err(e) if RecoveryPolicy::recoverable(&e) => result = Err(e),
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    (result, rungs)
+    let (result, steps) =
+        dscts_core::RecoveryPolicy::climb(retry, &job_pipeline(base, &kind), |pipe, _| {
+            direct_attempt(pipe, design, kind)
+        });
+    (result, steps.len())
 }
 
 /// One direct staged-driver attempt under `pipe` — the composition the

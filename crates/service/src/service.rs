@@ -7,7 +7,7 @@ use dscts_core::mcmm::CornerReport;
 use dscts_core::resilience::panic_message;
 use dscts_core::{
     mode_vector, AnnealConfig, AnnealedSizingPass, CancelToken, CtsError, DsCts, ModeRule,
-    RecoveryPolicy, RecoveryStep, RunBudget, StageTiming,
+    RecoveryPolicy, RunBudget, StageTiming,
 };
 use dscts_netlist::Design;
 use dscts_tech::CornerSet;
@@ -570,46 +570,20 @@ fn execute_job(inner: &Inner, job: &QueuedJob, queue_wait_s: f64, started: Insta
         };
     }
 
-    let pipe = job_pipeline(&inner.base, &job.kind);
-    let mut recovery: Vec<RecoveryStep> = Vec::new();
-    let mut attempt_pipe = pipe;
-    let mut result = attempt(inner, &attempt_pipe, job);
-    if let Err(first_err) = &result {
-        if let Some(policy) = &inner.cfg.retry {
-            if RecoveryPolicy::recoverable(first_err) {
-                // The service-side mirror of DsCts::try_run's ladder:
-                // cumulative relaxations, one shared token, typed stop on
-                // non-recoverable errors.
-                let mut last_err = first_err.clone();
-                for &rung in policy.ladder() {
-                    recovery.push(RecoveryStep {
-                        error: last_err.clone(),
-                        relaxation: rung,
-                    });
-                    inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = telemetry::active() {
-                        tel.counter(&format!("service.recovery.{}", rung.label()))
-                            .incr();
-                    }
-                    attempt_pipe = attempt_pipe.with_relaxation(rung);
-                    match attempt(inner, &attempt_pipe, job) {
-                        Ok(outcome) => {
-                            result = Ok(outcome);
-                            break;
-                        }
-                        Err(e) if RecoveryPolicy::recoverable(&e) => {
-                            last_err = e.clone();
-                            result = Err(e);
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
+    let (result, recovery) = RecoveryPolicy::climb(
+        inner.cfg.retry.as_ref(),
+        &job_pipeline(&inner.base, &job.kind),
+        |pipe, rung| {
+            if let Some(rung) = rung {
+                inner.counters.retries.fetch_add(1, Ordering::Relaxed);
+                if let Some(tel) = telemetry::active() {
+                    tel.counter(&format!("service.recovery.{}", rung.label()))
+                        .incr();
                 }
             }
-        }
-    }
+            attempt(inner, pipe, job)
+        },
+    );
 
     match result {
         Ok(mut outcome) => {
@@ -643,7 +617,7 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
     let mut stages: Vec<StageTiming> = Vec::new();
     let mut stage_start = Instant::now();
     // Mirrors `Outcome::stages`' construction in the pipeline's own
-    // run loop: name + wall clock + RSS high-water mark per stage,
+    // run: name + wall clock + RSS high-water mark per stage,
     // `opt:<name>` rows folded in behind the optimize stage. Routing is
     // deliberately absent — it ran once at registration (`route_s` on
     // the cached artifact), not per job.
@@ -660,7 +634,7 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
     // computed only when a collector is live (bit-identity aside, the
     // disabled path should not pay for a scan either).
     let mut sweep_intra: u64 = 0;
-    let (mut tree, _dp) = match &job.kind {
+    let modes = match &job.kind {
         JobKind::SweepPoint { threshold } => {
             let modes = mode_vector(&job.design.topo, ModeRule::FanoutThreshold(*threshold));
             if telemetry::enabled() {
@@ -669,21 +643,18 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
                     .filter(|&&m| m == dscts_core::Mode::IntraSide)
                     .count() as u64;
             }
-            pipe.insert_with_modes_cancel(job.design.topo.clone(), &modes, Some(token))?
+            Some(modes)
         }
-        _ => pipe.insert_cancel(job.design.topo.clone(), Some(token))?,
+        _ => None,
     };
+    let (mut tree, _dp, _) =
+        pipe.insert_cached(job.design.topo.clone(), modes.as_deref(), Some(token), None)?;
     push_stage(&mut stages, &mut stage_start, "insertion");
     let report = pipe.optimize_tree_cancel(&mut tree, Some(token))?;
     let degraded = report.as_ref().is_some_and(|r| r.truncated);
     push_stage(&mut stages, &mut stage_start, "optimize");
     if let Some(report) = &report {
-        let stage_peak = stages.last().and_then(|t| t.peak_rss_bytes);
-        stages.extend(report.passes.iter().map(|p| StageTiming {
-            name: Cow::Owned(format!("opt:{}", p.name)),
-            seconds: p.seconds,
-            peak_rss_bytes: stage_peak,
-        }));
+        report.push_pass_timings(&mut stages);
     }
     let metrics = pipe.evaluate_tree(&tree);
     push_stage(&mut stages, &mut stage_start, "evaluate");
